@@ -198,6 +198,27 @@ SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& op
   return res;
 }
 
+/// Whether more off-diagonal rate mass flows to lower state indices
+/// (q_ij, i > j) than to higher ones. Gauss-Seidel converges fastest when
+/// it sweeps the way probability flows, so the sweep runs downward exactly
+/// when this holds; ties keep the ascending sweep.
+bool downward_flow_dominates(const CsrMatrix& q) {
+  double down = 0.0;
+  double up = 0.0;
+  for (index_t i = 0; i < q.rows(); ++i) {
+    const auto cs = q.row_cols(i);
+    const auto vs = q.row_vals(i);
+    for (std::size_t k = 0; k < cs.size(); ++k) {
+      if (cs[k] < i) {
+        down += vs[k];
+      } else if (cs[k] > i) {
+        up += vs[k];
+      }
+    }
+  }
+  return down > up;
+}
+
 SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions& opts) {
   const obs::ScopedTimer timer("gauss-seidel");
   obs::Span span("solve/gauss-seidel");
@@ -210,21 +231,28 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
   // Residuals of pi*Q scale with the transition rates; make the tolerance
   // relative so stiff chains (huge timer rates) converge sensibly.
   const double tol = opts.tol * std::max(1.0, sys.max_exit);
+  const bool backward = downward_flow_dominates(sys.q);
+  span.attr("direction", backward ? "backward" : "forward");
 
   Vec pi = initial_vector(sys, opts);
   Vec scratch(n);
+  // pi_j = sum_{i != j} pi_i q_ij / exit_j.
+  const auto relax = [&](index_t j) {
+    const std::size_t ju = static_cast<std::size_t>(j);
+    if (exit[ju] == 0.0) return;  // absorbing; caller should have checked
+    const auto cs = qt.row_cols(j);
+    const auto vs = qt.row_vals(j);
+    double inflow = 0.0;
+    for (std::size_t k = 0; k < cs.size(); ++k) {
+      if (cs[k] != j) inflow += vs[k] * pi[static_cast<std::size_t>(cs[k])];
+    }
+    pi[ju] = inflow / exit[ju];
+  };
   for (res.iterations = 0; res.iterations < opts.max_iter; ++res.iterations) {
-    // One sweep of pi_j = sum_{i != j} pi_i q_ij / exit_j.
-    for (index_t j = 0; j < qt.rows(); ++j) {
-      const std::size_t ju = static_cast<std::size_t>(j);
-      if (exit[ju] == 0.0) continue;  // absorbing; caller should have checked
-      const auto cs = qt.row_cols(j);
-      const auto vs = qt.row_vals(j);
-      double inflow = 0.0;
-      for (std::size_t k = 0; k < cs.size(); ++k) {
-        if (cs[k] != j) inflow += vs[k] * pi[static_cast<std::size_t>(cs[k])];
-      }
-      pi[ju] = inflow / exit[ju];
+    if (backward) {
+      for (index_t j = qt.rows(); j-- > 0;) relax(j);
+    } else {
+      for (index_t j = 0; j < qt.rows(); ++j) relax(j);
     }
     linalg::normalize_l1(pi);
     if ((res.iterations & 15) == 15 || res.iterations + 1 == opts.max_iter) {

@@ -5,7 +5,10 @@
 //                   and solve the dense system; exact, O(n^3), reference.
 //  * kGaussSeidel — sweeps on the transposed balance equations with
 //                   periodic renormalisation; the default for the model
-//                   sizes in this library (10^3..10^5 states).
+//                   sizes in this library (10^3..10^5 states). Each solve
+//                   sweeps in the direction most rate mass flows: downward
+//                   when more flows to lower indices than to higher ones,
+//                   upward otherwise (ties included).
 //  * kPower       — power iteration on the uniformized DTMC
 //                   P = I + Q/Lambda; slowest but unconditionally stable.
 //  * kGmres       — restarted GMRES on the normalised system; robust when

@@ -3,6 +3,8 @@
 // consistent, and first-passage times must satisfy the one-step equations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <random>
 
 #include "ctmc/builder.hpp"
@@ -11,6 +13,7 @@
 #include "ctmc/reachability.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/uniformization.hpp"
+#include "linalg/reorder.hpp"
 
 namespace {
 
@@ -58,6 +61,30 @@ TEST_P(RandomChainTest, AllSolversAgreeWithDenseLu) {
     EXPECT_NEAR(linalg::max_abs_diff(r.pi, reference.pi), 0.0, 1e-7)
         << "method " << static_cast<int>(method);
   }
+}
+
+TEST_P(RandomChainTest, GaussSeidelIsInvariantUnderStateReversal) {
+  // Reversing the state order swaps upward and downward rate mass, so the
+  // sweep direction flips with it and both solves relax the states in the
+  // same order: the same sweep count up to one 16-sweep residual check, and
+  // the same pi up to the certified residual.
+  const unsigned n = 5 + 7 * GetParam();
+  const auto chain = random_chain(n, 6000 + GetParam());
+  linalg::Permutation reversal;
+  for (unsigned k = 0; k < n; ++k) reversal.order.push_back(n - 1 - k);
+  const linalg::CsrMatrix reversed = linalg::permute_symmetric(chain.generator(), reversal);
+
+  ctmc::SteadyStateOptions opts;
+  opts.method = ctmc::SteadyStateMethod::kGaussSeidel;
+  const auto a = ctmc::steady_state(chain.generator(), opts);
+  const auto b = ctmc::steady_state(reversed, opts);
+  ASSERT_TRUE(a.certificate.ok());
+  ASSERT_TRUE(b.certificate.ok());
+  EXPECT_LE(std::abs(a.iterations - b.iterations), 16);
+  linalg::Vec b_pi(n);
+  linalg::unpermute_vector(reversal, b.pi, b_pi);
+  EXPECT_LE(linalg::max_abs_diff(a.pi, b_pi),
+            std::max(a.certificate.residual, b.certificate.residual));
 }
 
 TEST_P(RandomChainTest, StationarityUnderTransientEvolution) {

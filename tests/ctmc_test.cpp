@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "ctmc/builder.hpp"
@@ -10,6 +11,7 @@
 #include "ctmc/reachability.hpp"
 #include "ctmc/steady_state.hpp"
 #include "models/mm1k.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -170,6 +172,39 @@ TEST(SteadyState, WarmStartGivesSameAnswer) {
   EXPECT_NEAR(linalg::max_abs_diff(cold.pi, warm.pi), 0.0, 1e-8);
   EXPECT_LE(warm.iterations, 32);
 }
+
+#if TAGS_OBS_ENABLED
+/// The sweep direction a Gauss-Seidel solve of `chain` records on its span.
+std::string gauss_seidel_direction(const ctmc::Ctmc& chain) {
+  obs::reset_metrics();
+  ctmc::SteadyStateOptions opts;
+  opts.method = ctmc::SteadyStateMethod::kGaussSeidel;
+  EXPECT_TRUE(ctmc::steady_state(chain, opts).certificate.ok());
+  for (const obs::SpanRecord& rec : obs::span_records()) {
+    if (rec.name != "solve/gauss-seidel") continue;
+    for (const auto& [key, value] : rec.str) {
+      if (key == "direction") return value;
+    }
+  }
+  return "";
+}
+
+TEST(SteadyState, GaussSeidelSweepsForwardWhenUpAndDownMassTie) {
+  const auto chain = [](double rate_2_to_1) {
+    CtmcBuilder b;
+    b.add(0, 1, 2.0, "a");
+    b.add(1, 2, 1.0, "a");
+    b.add(1, 0, 1.0, "a");
+    b.add(2, 0, 1.0, "a");
+    b.add(2, 1, rate_2_to_1, "a");
+    return b.build();
+  };
+  // Upward rate mass 2 + 1 equals downward mass 1 + 1 + 1.
+  EXPECT_EQ(gauss_seidel_direction(chain(1.0)), "forward");
+  // Any extra downward mass turns the sweep around.
+  EXPECT_EQ(gauss_seidel_direction(chain(1.5)), "backward");
+}
+#endif
 
 TEST(Measures, ExpectedValueAndProbability) {
   linalg::Vec pi{0.25, 0.25, 0.5};

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "ctmc/reachability.hpp"
+#include "ctmc/steady_state.hpp"
 #include "models/pepa_sources.hpp"
 #include "pepa/parser.hpp"
 #include "pepa/to_ctmc.hpp"
@@ -131,6 +132,30 @@ TEST(ShortestQueuePepa, MatchesDirectModel) {
   // determined by them).
   EXPECT_EQ(solved.model.chain.n_states(),
             static_cast<ctmc::index_t>((p.k + 1) * (p.k + 1)));
+}
+
+// The same Fig 3 chain (K = 10, t = 51) in two state orders. The direct
+// builder lists the Erlang timer's phases so that its ticks, the fastest
+// transitions, run down the index and Gauss-Seidel sweeps downward; the
+// PEPA derivation's order carries most rate mass upward and keeps the
+// ascending sweep. Sweep counts are deterministic; an ascending sweep of
+// the builder-order chain needs 864.
+TEST(GaussSeidelSweeps, BuilderOrderFig3ChainSweepsDownward) {
+  models::TagsParams p;
+  p.t = 51.0;
+  const auto r = ctmc::steady_state(models::TagsModel(p).chain().generator());
+  EXPECT_EQ(r.method_used, ctmc::SteadyStateMethod::kGaussSeidel);
+  EXPECT_TRUE(r.certificate.ok());
+  EXPECT_LE(r.iterations, 200);
+}
+
+TEST(GaussSeidelSweeps, PepaOrderFig3ChainKeepsItsSweepCount) {
+  models::TagsParams p;
+  p.t = 51.0;
+  const auto solved = pepa::solve_source(models::tags_pepa_source(p), "System");
+  EXPECT_EQ(solved.solve_info.method_used, ctmc::SteadyStateMethod::kGaussSeidel);
+  EXPECT_TRUE(solved.solve_info.certificate.ok());
+  EXPECT_EQ(solved.solve_info.iterations, 128);
 }
 
 TEST(TagsPepa, EmptyTimerStatesArePinned) {
