@@ -4,10 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "ctmc/qbd.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/reorder.hpp"
 #include "obs/obs.hpp"
 
 namespace tags::ctmc {
@@ -18,7 +18,6 @@ std::string_view to_string(SteadyStateMethod m) noexcept {
     case SteadyStateMethod::kDenseLu: return "dense-lu";
     case SteadyStateMethod::kGaussSeidel: return "gauss-seidel";
     case SteadyStateMethod::kPower: return "power";
-    case SteadyStateMethod::kGmres: return "gmres";
     case SteadyStateMethod::kLevelQbd: return "level-qbd";
     case SteadyStateMethod::kNcdAd: return "ncd-ad";
   }
@@ -323,54 +322,6 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
   return res;
 }
 
-SteadyStateResult solve_gmres(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("gmres");
-  obs::Span span("solve/gmres");
-  span.attr("n", static_cast<double>(sys.n()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kGmres;
-  const std::size_t n = static_cast<std::size_t>(sys.n());
-  const CsrMatrix& q = sys.q;
-  // M = Q^T with the last row replaced by ones; M x = e_{n-1}.
-  CooMatrix coo(static_cast<index_t>(n), static_cast<index_t>(n));
-  for (index_t i = 0; i < q.rows(); ++i) {
-    const auto cs = q.row_cols(i);
-    const auto vs = q.row_vals(i);
-    for (std::size_t k = 0; k < cs.size(); ++k) {
-      if (cs[k] == static_cast<index_t>(n) - 1) continue;  // replaced row
-      coo.add(cs[k], i, vs[k]);
-    }
-  }
-  for (index_t j = 0; j < static_cast<index_t>(n); ++j)
-    coo.add(static_cast<index_t>(n) - 1, j, 1.0);
-  const CsrMatrix m = CsrMatrix::from_coo(coo);
-
-  Vec b(n, 0.0);
-  b[n - 1] = 1.0;
-  Vec x = initial_vector(sys, opts);
-  const double tol = opts.tol * std::max(1.0, sys.max_exit);
-  linalg::SolveOptions sopts;
-  sopts.tol = tol;  // relative target, consistent with the balance check
-  sopts.max_iter = opts.max_iter;
-  sopts.restart = 120;
-  // The D+L forward solve is the decisive preconditioner for these
-  // nearly singular balance systems (plain Jacobi stagnates).
-  sopts.precond = linalg::Preconditioner::kGaussSeidel;
-  const linalg::SolveResult sr = linalg::gmres(m, b, x, sopts);
-  res.iterations = sr.iterations;
-  for (double& v : x) v = std::max(v, 0.0);
-  linalg::normalize_l1(x);
-  Vec scratch(n);
-  const CsrMatrix& qt = q.transpose_cache();
-  res.residual = balance_residual(qt, x, scratch);
-  res.converged = res.residual <= tol * 10.0;  // allow slack vs linear tol
-  res.pi = std::move(x);
-  certify_result(res, qt, sys, opts);
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
-}
-
 /// Direct solve on the generator's BFS level (QBD) structure. Exact like
 /// dense LU but with per-level dense blocks, so cost scales with the level
 /// width, not the chain size. A structural failure (edge skipping a level,
@@ -432,12 +383,175 @@ SteadyStateResult solve_ncd_ad(const System& sys, const SteadyStateOptions& opts
   return res;
 }
 
+/// Largest chain kAuto hands to dense LU: O(n^3) flops and n^2 doubles.
+constexpr index_t kDenseLuMaxStates = 1200;
+
+/// What the gates detected, kept for the stage they let run.
+struct Detected {
+  QbdStructure qbd;
+  linalg::NcdPartition ncd_local;             // detected afresh: no shared cache
+  const linalg::NcdPartition* ncd = nullptr;  // the partition the NCD stage solves on
+};
+
+/// The level-QBD gate: the detector declines chains that are not block
+/// tridiagonal or whose levels are too wide to pay off.
+const char* level_qbd_declines(const CsrMatrix& q, const SteadyStateOptions& opts,
+                               Detected& det) {
+  QbdOptions qo;
+  qo.max_block = opts.structured_max_block;
+  det.qbd = detect_qbd(q, qo);
+  return det.qbd.usable() ? nullptr : det.qbd.gate_reason;
+}
+
+/// The NCD gate: declines strongly-coupled chains. A sweep's rebind-aware
+/// cache re-evaluates only the coupling against the current rates.
+const char* ncd_declines(const CsrMatrix& q, const SteadyStateOptions& opts, Detected& det) {
+  if (opts.ncd_cache) {
+    det.ncd = &opts.ncd_cache->partition(q, opts.ncd_opts);
+  } else {
+    det.ncd_local = linalg::detect_ncd(q, opts.ncd_opts);
+    det.ncd = &det.ncd_local;
+  }
+  return det.ncd->profitable ? nullptr : det.ncd->gate_reason;
+}
+
+/// One row of the kAuto chain. A stage is skipped silently when it is not
+/// enabled, recorded as a gated attempt when its gate declines, and run
+/// otherwise; the first accepted result ends the chain.
+struct Stage {
+  SteadyStateMethod method;
+  /// False skips the stage without a trace: switched off, or the chain is
+  /// outside its size range.
+  bool (*enabled)(index_t n, const SteadyStateOptions& opts);
+  /// The profitability gate: the detector's reason for declining, nullptr
+  /// to run. Stages without one always run once enabled.
+  const char* (*declines)(const CsrMatrix& q, const SteadyStateOptions& opts,
+                          Detected& det) = nullptr;
+  /// The gate reads the rates, not just the sparsity pattern, so a batch
+  /// cannot decide it once for all of its lanes.
+  bool gate_reads_values = false;
+  SteadyStateResult (*run)(const System& sys, const SteadyStateOptions& opts,
+                           const Detected& det);
+  /// A last-resort stage starts from the best earlier last-resort π, and
+  /// the best of them is returned, flagged, when no stage is accepted.
+  bool last_resort = false;
+  /// Counters (nullptr: none): the gate let it run; its result was
+  /// accepted; it ran and fell through; the gate declined it.
+  const char* ran = nullptr;
+  const char* used = nullptr;
+  const char* fallthrough = nullptr;
+  const char* declined = nullptr;
+};
+
+bool always(index_t, const SteadyStateOptions&) { return true; }
+
+// Level-QBD first: exact and cheap on narrow level structure. NCD-AD next,
+// for the weakly-coupled chains the QBD bandwidth guard rejects; chains
+// below min_states skip even its detection, so small chains carry no NCD
+// entry in their attempt lists. Then LU for small chains, Gauss-Seidel, and
+// power iteration, which converges on every irreducible chain given enough
+// iterations. Every result is certified, so a misdetection or a singular
+// block costs a fallthrough, never a wrong answer.
+constexpr Stage kAutoChain[] = {
+    {.method = SteadyStateMethod::kLevelQbd,
+     .enabled = [](index_t, const SteadyStateOptions& o) { return o.structured; },
+     .declines = level_qbd_declines,
+     .run = [](const System& sys, const SteadyStateOptions& o, const Detected& det) {
+       return solve_level_qbd(sys, o, det.qbd);
+     },
+     .used = "ctmc.steady_state.structured.used",
+     .fallthrough = "ctmc.steady_state.structured.fallthrough",
+     .declined = "ctmc.steady_state.structured.declined"},
+    {.method = SteadyStateMethod::kNcdAd,
+     .enabled = [](index_t n, const SteadyStateOptions& o) {
+       return o.ncd && n >= o.ncd_opts.min_states;
+     },
+     .declines = ncd_declines,
+     .gate_reads_values = true,
+     .run = [](const System& sys, const SteadyStateOptions& o, const Detected& det) {
+       return solve_ncd_ad(sys, o, *det.ncd);
+     },
+     .ran = "ncd.gate.accepts",
+     .used = "ncd.solves",
+     .fallthrough = "ncd.fallthroughs",
+     .declined = "ncd.gate.rejects"},
+    {.method = SteadyStateMethod::kDenseLu,
+     .enabled = [](index_t n, const SteadyStateOptions&) { return n <= kDenseLuMaxStates; },
+     .run = [](const System& sys, const SteadyStateOptions& o, const Detected&) {
+       return solve_dense_lu(sys, o);
+     }},
+    {.method = SteadyStateMethod::kGaussSeidel,
+     .enabled = always,
+     .run = [](const System& sys, const SteadyStateOptions& o, const Detected&) {
+       return solve_gauss_seidel(sys, o);
+     },
+     .last_resort = true},
+    {.method = SteadyStateMethod::kPower,
+     .enabled = always,
+     .run = [](const System& sys, const SteadyStateOptions& o, const Detected&) {
+       return solve_power(sys, o);
+     },
+     .last_resort = true},
+};
+
+void maybe_count(const char* counter) {
+  if (counter) obs::count(counter);
+}
+
+/// The kAuto chain. It escalates on the *certificate*, not on the raw
+/// residual alone: a method that converged by its own bookkeeping but
+/// failed the independent check (non-finite entries, mass drift, hopeless
+/// condition estimate) falls through to the next stage like a divergence.
+SteadyStateResult solve_auto(const System& sys, const SteadyStateOptions& opts) {
+  Detected det;
+  std::vector<SteadyStateAttempt> attempts;
+  std::optional<SteadyStateResult> best;  // lowest-residual last-resort result
+  struct Failure {
+    SteadyStateMethod method;
+    double residual;
+    const char* reason;
+  };
+  std::optional<Failure> failed;  // traced once the next stage actually runs
+  for (const Stage& stage : kAutoChain) {
+    if (!stage.enabled(sys.n(), opts)) continue;
+    if (const char* reason = stage.declines ? stage.declines(sys.q, opts, det) : nullptr) {
+      maybe_count(stage.declined);
+      attempts.push_back(gated_attempt(stage.method, reason));
+      continue;
+    }
+    if (failed) trace_fallback(failed->method, stage.method, failed->residual, failed->reason);
+    maybe_count(stage.ran);
+    SteadyStateResult res;
+    if (stage.last_resort && best) {
+      SteadyStateOptions warm = opts;
+      warm.initial_guess = best->pi;  // reuse partial progress
+      res = stage.run(sys, warm, det);
+    } else {
+      res = stage.run(sys, opts, det);
+    }
+    attempts.insert(attempts.end(), res.attempts.begin(), res.attempts.end());
+    if (accepted(res, opts)) {
+      maybe_count(stage.used);
+      res.attempts = std::move(attempts);
+      return res;
+    }
+    maybe_count(stage.fallthrough);
+    failed = Failure{stage.method, res.residual, fallback_reason(res)};
+    if (stage.last_resort && !(best && best->residual <= res.residual)) best = std::move(res);
+  }
+  // The whole chain is exhausted and nothing passed: the caller gets the
+  // best attempt, flagged. This is the "nothing landed in a table
+  // unchecked" guarantee — uncertified results are visible, not silent.
+  obs::count("numerics.steady_state.uncertified_returns");
+  best->attempts = std::move(attempts);
+  return std::move(*best);
+}
+
 SteadyStateResult steady_state_impl(const System& sys, const SteadyStateOptions& opts) {
   switch (opts.method) {
     case SteadyStateMethod::kDenseLu: return solve_dense_lu(sys, opts);
     case SteadyStateMethod::kGaussSeidel: return solve_gauss_seidel(sys, opts);
     case SteadyStateMethod::kPower: return solve_power(sys, opts);
-    case SteadyStateMethod::kGmres: return solve_gmres(sys, opts);
     case SteadyStateMethod::kLevelQbd: {
       // Explicit request: the profitability gate is the caller's problem;
       // only the structural requirement (connected block tridiagonal) and
@@ -458,119 +572,7 @@ SteadyStateResult steady_state_impl(const System& sys, const SteadyStateOptions&
     }
     case SteadyStateMethod::kAuto: break;
   }
-  // The kAuto chain escalates on the *certificate*, not on the raw residual
-  // alone: a method that converged by its own bookkeeping but failed the
-  // independent check (non-finite entries, mass drift, hopeless condition
-  // estimate) falls through to the next method exactly like a divergence.
-  std::vector<SteadyStateAttempt> chain_attempts;
-  const auto finish = [&](SteadyStateResult r) {
-    chain_attempts.insert(chain_attempts.end(), r.attempts.begin(), r.attempts.end());
-    r.attempts = std::move(chain_attempts);
-    return r;
-  };
-  // Structured fast path: when the generator is level-structured with
-  // levels narrow enough to pay off, the block-tridiagonal direct solver
-  // goes first. Its result is certified like every other attempt, so a
-  // misdetection (or a surprise singular block) degrades to the generic
-  // chain below rather than returning a wrong answer.
-  if (opts.structured) {
-    QbdOptions qo;
-    qo.max_block = opts.structured_max_block;
-    const QbdStructure structure = detect_qbd(sys.q, qo);
-    if (structure.usable()) {
-      SteadyStateResult res = solve_level_qbd(sys, opts, structure);
-      if (accepted(res, opts)) {
-        obs::count("ctmc.steady_state.structured.used");
-        return finish(std::move(res));
-      }
-      obs::count("ctmc.steady_state.structured.fallthrough");
-      trace_fallback(SteadyStateMethod::kLevelQbd,
-                     sys.n() <= 1200 ? SteadyStateMethod::kDenseLu
-                                     : SteadyStateMethod::kGaussSeidel,
-                     res.residual, fallback_reason(res));
-      chain_attempts.insert(chain_attempts.end(), res.attempts.begin(),
-                            res.attempts.end());
-    } else {
-      obs::count("ctmc.steady_state.structured.declined");
-      chain_attempts.push_back(
-          gated_attempt(SteadyStateMethod::kLevelQbd, structure.gate_reason));
-    }
-  }
-  // Second gated fast path: NCD aggregation-disaggregation, for the
-  // weakly-coupled chains the QBD bandwidth guard rejects. Chains below
-  // min_states skip even the detection — the dense/iterative chain is
-  // already quick there and the no-op must cost nothing (and leave no
-  // attempt-list trace, keeping small-chain behaviour bit-identical).
-  if (opts.ncd && sys.n() >= opts.ncd_opts.min_states) {
-    linalg::NcdPartition local;
-    const linalg::NcdPartition* part;
-    if (opts.ncd_cache) {
-      part = &opts.ncd_cache->partition(sys.q, opts.ncd_opts);
-    } else {
-      local = linalg::detect_ncd(sys.q, opts.ncd_opts);
-      part = &local;
-    }
-    if (part->profitable) {
-      obs::count("ncd.gate.accepts");
-      SteadyStateResult res = solve_ncd_ad(sys, opts, *part);
-      if (accepted(res, opts)) {
-        obs::count("ncd.solves");
-        return finish(std::move(res));
-      }
-      obs::count("ncd.fallthroughs");
-      trace_fallback(SteadyStateMethod::kNcdAd,
-                     sys.n() <= 1200 ? SteadyStateMethod::kDenseLu
-                                     : SteadyStateMethod::kGaussSeidel,
-                     res.residual, fallback_reason(res));
-      chain_attempts.insert(chain_attempts.end(), res.attempts.begin(),
-                            res.attempts.end());
-    } else {
-      obs::count("ncd.gate.rejects");
-      chain_attempts.push_back(
-          gated_attempt(SteadyStateMethod::kNcdAd, part->gate_reason));
-    }
-  }
-  if (sys.n() <= 1200) {
-    SteadyStateResult res = solve_dense_lu(sys, opts);
-    if (accepted(res, opts)) return finish(std::move(res));
-    trace_fallback(SteadyStateMethod::kDenseLu, SteadyStateMethod::kGaussSeidel,
-                   res.residual, fallback_reason(res));
-    chain_attempts.insert(chain_attempts.end(), res.attempts.begin(),
-                          res.attempts.end());
-  }
-  SteadyStateResult res = solve_gauss_seidel(sys, opts);
-  if (accepted(res, opts)) return finish(std::move(res));
-  trace_fallback(SteadyStateMethod::kGaussSeidel, SteadyStateMethod::kGmres,
-                 res.residual, fallback_reason(res));
-  chain_attempts.insert(chain_attempts.end(), res.attempts.begin(), res.attempts.end());
-  SteadyStateOptions warm = opts;
-  warm.initial_guess = res.pi;  // reuse partial progress
-  SteadyStateResult res2 = solve_gmres(sys, warm);
-  if (accepted(res2, opts)) return finish(std::move(res2));
-  trace_fallback(SteadyStateMethod::kGmres, SteadyStateMethod::kPower, res2.residual,
-                 fallback_reason(res2));
-  chain_attempts.insert(chain_attempts.end(), res2.attempts.begin(),
-                        res2.attempts.end());
-  warm.initial_guess = res2.residual < res.residual ? res2.pi : res.pi;
-  SteadyStateResult res3 = solve_power(sys, warm);
-  chain_attempts.insert(chain_attempts.end(), res3.attempts.begin(),
-                        res3.attempts.end());
-  const auto with_chain = [&](SteadyStateResult r) {
-    r.attempts = chain_attempts;
-    if (!accepted(r, opts)) {
-      // The whole chain is exhausted and nothing passed: the caller gets
-      // the best attempt, flagged. This is the "nothing landed in a table
-      // unchecked" guarantee — uncertified results are visible, not silent.
-      obs::count("numerics.steady_state.uncertified_returns");
-    }
-    return r;
-  };
-  if (accepted(res3, opts)) return with_chain(std::move(res3));
-  // Return the best attempt so callers can inspect the residual.
-  if (res.residual <= res2.residual && res.residual <= res3.residual) {
-    return with_chain(std::move(res));
-  }
-  return with_chain(std::move(res2.residual <= res3.residual ? res2 : res3));
+  return solve_auto(sys, opts);
 }
 
 }  // namespace
@@ -580,42 +582,6 @@ SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOpti
   obs::Span root_span("ctmc/steady_state");
   root_span.attr("n", static_cast<double>(q.rows()));
   root_span.attr("method", to_string(opts.method));
-  // PermutedSolve wrapper: solve P·Q·Pᵀ and carry π back. The certificate
-  // is computed on the permuted system, which is equivalent — residual
-  // inf-norms and probability mass are permutation-invariant.
-  if (opts.reorder == SteadyStateReorder::kRcm) {
-    const linalg::Permutation p = [&q] {
-      const obs::Span span("linalg/rcm_order");
-      return linalg::rcm_order(q);
-    }();
-    if (!p.is_identity()) {
-      obs::count("ctmc.steady_state.permuted_solves");
-      const linalg::CsrMatrix qp = [&q, &p] {
-        const obs::Span span("linalg/permute_symmetric");
-        return linalg::permute_symmetric(q, p);
-      }();
-      SteadyStateOptions inner = opts;
-      inner.reorder = SteadyStateReorder::kNone;
-      // The NCD partition cache is keyed on (rows, nnz), which the RCM-
-      // permuted system shares with the original; carrying it across the
-      // two state orders would hand the solver a mismatched partition.
-      // The permuted solve detects afresh instead.
-      inner.ncd_cache.reset();
-      if (inner.initial_guess &&
-          inner.initial_guess->size() == static_cast<std::size_t>(q.rows())) {
-        Vec guess(inner.initial_guess->size());
-        linalg::permute_vector(p, *inner.initial_guess, guess);
-        inner.initial_guess = std::move(guess);
-      }
-      SteadyStateResult res = steady_state(qp, inner);
-      if (res.pi.size() == p.size()) {
-        Vec orig(res.pi.size());
-        linalg::unpermute_vector(p, res.pi, orig);
-        res.pi = std::move(orig);
-      }
-      return res;
-    }
-  }
   const obs::ScopedTimer timer("ctmc/steady_state");
   const std::uint64_t start_ns = obs::now_ns();
   if (opts.initial_guess) {
@@ -699,6 +665,22 @@ void record_batch_lane(const SteadyStateResult& res, index_t n, double max_exit,
 /// just without the lockstep speedup.
 constexpr std::size_t kDenseBatchCapDoubles = 16ull << 20;  // 128 MiB
 
+/// The stage kAuto runs first on every lane of a batch, decided once from
+/// the shared pattern, with the gate-declined attempts the scalar chain
+/// records ahead of it. nullptr when a gate on the way reads the rates:
+/// each lane then walks the chain on its own.
+const Stage* first_batch_stage(const CsrMatrix& pattern, const SteadyStateOptions& opts,
+                               Detected& det, std::vector<SteadyStateAttempt>& declined) {
+  for (const Stage& stage : kAutoChain) {
+    if (!stage.enabled(pattern.rows(), opts)) continue;
+    if (stage.gate_reads_values) return nullptr;
+    const char* reason = stage.declines ? stage.declines(pattern, opts, det) : nullptr;
+    if (!reason) return &stage;
+    declined.push_back(gated_attempt(stage.method, reason));
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& vals,
@@ -728,82 +710,69 @@ std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& v
     return r;
   };
 
-  // The batched path covers the direct solvers on the natural ordering;
-  // anything else (explicit iterative method, RCM wrapping) is inherently
-  // sequential per lane and simply runs the scalar solver lane by lane.
-  const bool direct_eligible =
-      opts.reorder == SteadyStateReorder::kNone &&
-      (opts.method == SteadyStateMethod::kAuto ||
-       opts.method == SteadyStateMethod::kLevelQbd ||
-       opts.method == SteadyStateMethod::kDenseLu);
+  // The batched path covers the direct solvers; an explicit iterative
+  // method is inherently sequential per lane and simply runs the scalar
+  // solver lane by lane.
+  const bool direct_eligible = opts.method == SteadyStateMethod::kAuto ||
+                               opts.method == SteadyStateMethod::kLevelQbd ||
+                               opts.method == SteadyStateMethod::kDenseLu;
   if (!direct_eligible || w == 1) {
     for (std::size_t b = 0; b < w; ++b) out[b] = scalar_lane(b);
     return out;
   }
 
+  // Which direct solver the batch runs. Level-QBD detection and the
+  // elimination plan are pattern-only, so one detect + one plan serve every
+  // lane; the scalar solver would have reached the identical decision at
+  // each point. kAuto batches its first stage only when that is a direct
+  // one, and a lane-level failure escalates through the scalar chain, so
+  // the lane's attempt list matches the scalar solver's.
+  Detected det;
+  std::vector<SteadyStateAttempt> declined;  // kAuto's attempts ahead of it
+  SteadyStateMethod batched = opts.method;
+  if (opts.method == SteadyStateMethod::kAuto) {
+    const Stage* first = first_batch_stage(pattern, opts, det, declined);
+    batched = first ? first->method : SteadyStateMethod::kAuto;
+  } else if (opts.method == SteadyStateMethod::kLevelQbd) {
+    QbdOptions qo;
+    qo.max_block = opts.structured_max_block > 0 ? opts.structured_max_block : pattern.rows();
+    det.qbd = detect_qbd(pattern, qo);
+  }
+
   std::vector<unsigned char> done(w, 0);
 
-  // Structured (level-QBD) attempt. Detection and the elimination plan are
-  // pattern-only, so one detect + one plan serve every lane; the scalar
-  // solver would have reached the identical decision at each point.
-  const bool try_qbd = opts.method == SteadyStateMethod::kLevelQbd ||
-                       (opts.method == SteadyStateMethod::kAuto && opts.structured);
-  bool qbd_structured = false;  // the scalar chain would attempt level-QBD
-  const char* qbd_gate_reason = "";  // detector's verdict when it declined
-  if (try_qbd) {
-    QbdOptions qo;
-    qo.max_block = opts.method == SteadyStateMethod::kLevelQbd
-                       ? (opts.structured_max_block > 0 ? opts.structured_max_block
-                                                        : pattern.rows())
-                       : opts.structured_max_block;
-    const QbdStructure structure = detect_qbd(pattern, qo);
-    qbd_structured = structure.usable();
-    qbd_gate_reason = structure.gate_reason;
-    if (structure.usable() &&
-        structure.factor_doubles * w <= QbdOptions{}.max_factor_doubles) {
-      const QbdPlan plan = make_qbd_plan(pattern, structure);
-      if (plan.ok) {
-        std::vector<Vec> pis(w);
-        const std::vector<unsigned char> ok =
-            qbd_steady_state_batch(structure, plan, vals, pis);
-        for (std::size_t b = 0; b < w; ++b) {
-          if (!ok[b]) continue;  // scalar chain re-derives the failure
-          const std::uint64_t lane_start = obs::now_ns();
-          const CsrMatrix lane_q = vals.lane_matrix(b);
-          const System sys(lane_q);
-          SteadyStateResult res;
-          res.method_used = SteadyStateMethod::kLevelQbd;
-          res.pi = std::move(pis[b]);
-          finish_direct_lane(res, lane_q, sys, opts, 0.0);
-          // An explicit kLevelQbd request returns whatever the solver
-          // produced; kAuto only keeps lanes that pass certification and
-          // sends the rest through the scalar chain (which repeats the
-          // identical failing attempt, preserving the attempt list).
-          if (opts.method == SteadyStateMethod::kLevelQbd || accepted(res, opts)) {
-            if (opts.method == SteadyStateMethod::kAuto)
-              obs::count("ctmc.steady_state.structured.used");
-            record_batch_lane(res, pattern.rows(), sys.max_exit, lane_start);
-            out[b] = std::move(res);
-            done[b] = 1;
-          }
+  const QbdStructure& structure = det.qbd;
+  if (batched == SteadyStateMethod::kLevelQbd && structure.usable() &&
+      structure.factor_doubles * w <= QbdOptions{}.max_factor_doubles) {
+    const QbdPlan plan = make_qbd_plan(pattern, structure);
+    if (plan.ok) {
+      std::vector<Vec> pis(w);
+      const std::vector<unsigned char> ok = qbd_steady_state_batch(structure, plan, vals, pis);
+      for (std::size_t b = 0; b < w; ++b) {
+        if (!ok[b]) continue;  // scalar chain re-derives the failure
+        const std::uint64_t lane_start = obs::now_ns();
+        const CsrMatrix lane_q = vals.lane_matrix(b);
+        const System sys(lane_q);
+        SteadyStateResult res;
+        res.method_used = SteadyStateMethod::kLevelQbd;
+        res.pi = std::move(pis[b]);
+        finish_direct_lane(res, lane_q, sys, opts, 0.0);
+        // An explicit kLevelQbd request returns whatever the solver
+        // produced; kAuto only keeps lanes that pass certification and
+        // sends the rest through the scalar chain (which repeats the
+        // identical failing attempt, preserving the attempt list).
+        if (opts.method == SteadyStateMethod::kLevelQbd || accepted(res, opts)) {
+          if (opts.method == SteadyStateMethod::kAuto)
+            obs::count("ctmc.steady_state.structured.used");
+          record_batch_lane(res, pattern.rows(), sys.max_exit, lane_start);
+          out[b] = std::move(res);
+          done[b] = 1;
         }
       }
     }
   }
 
-  // Dense-LU batch: kAuto reaches it only when the scalar chain would not
-  // have attempted level-QBD first (a lane-level QBD failure escalates
-  // through the scalar chain instead, so its attempt list keeps the failed
-  // structured entry exactly like the scalar solver's), and only when the
-  // scalar chain would also have skipped NCD detection (chains at or above
-  // ncd_opts.min_states go through the scalar path so their attempt lists
-  // carry the NCD gate verdict — with default options that bound exceeds
-  // the 1200-state dense ceiling, so nothing changes here).
-  const bool try_dense =
-      opts.method == SteadyStateMethod::kDenseLu ||
-      (opts.method == SteadyStateMethod::kAuto && n <= 1200 && !qbd_structured &&
-       (!opts.ncd || pattern.rows() < opts.ncd_opts.min_states));
-  if (try_dense && n * n * w <= kDenseBatchCapDoubles) {
+  if (batched == SteadyStateMethod::kDenseLu && n * n * w <= kDenseBatchCapDoubles) {
     obs::Span span("solve/dense-lu-batch");
     span.attr("n", static_cast<double>(n));
     span.attr("width", static_cast<double>(w));
@@ -841,17 +810,12 @@ std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& v
     linalg::BatchLuFactorization f;
     f.factor_packed(n, w, std::move(a));
     for (std::size_t b = 0; b < w; ++b) {
-      if (done[b] || f.singular(b)) continue;  // singular: scalar chain re-derives
+      if (f.singular(b)) continue;  // scalar chain re-derives the failure
       const std::uint64_t lane_start = obs::now_ns();
       const CsrMatrix lane_q = vals.lane_matrix(b);
       const System sys(lane_q);
       SteadyStateResult res;
-      if (opts.method == SteadyStateMethod::kAuto && opts.structured) {
-        // The scalar chain records the declined level-QBD gate before the
-        // dense solve; mirror it so lane attempt lists stay bit-identical.
-        res.attempts.push_back(
-            gated_attempt(SteadyStateMethod::kLevelQbd, qbd_gate_reason));
-      }
+      res.attempts = declined;
       res.method_used = SteadyStateMethod::kDenseLu;
       // The extracted scalar factorization is bit-identical to lu_factor's,
       // so the scalar substitution and Hager condition code run verbatim.

@@ -11,8 +11,6 @@
 //                   upward otherwise (ties included).
 //  * kPower       — power iteration on the uniformized DTMC
 //                   P = I + Q/Lambda; slowest but unconditionally stable.
-//  * kGmres       — restarted GMRES on the normalised system; robust when
-//                   Gauss-Seidel stalls.
 //  * kLevelQbd    — block-tridiagonal direct solve on the BFS level (QBD)
 //                   structure of the generator (see ctmc/qbd.hpp); exact in
 //                   one pass when the chain is level-structured with narrow
@@ -22,13 +20,13 @@
 //                   linalg/ncd.hpp); a handful of censored block sweeps plus
 //                   a coarse dense solve per pass when inter-block coupling
 //                   is weak, declined on strongly-coupled chains.
-//  * kAuto        — level-QBD when detection and its cost gate succeed,
-//                   then NCD aggregation-disaggregation when its coupling
-//                   gate accepts, then LU for small chains, otherwise
-//                   Gauss-Seidel with a GMRES fallback, then power iteration
-//                   as a last resort. Escalation is certificate-driven: a
-//                   structured result that fails the independent check falls
-//                   through to the generic chain.
+//  * kAuto        — one fixed stage table: level-QBD when detection and its
+//                   cost gate succeed, then NCD aggregation-disaggregation
+//                   when its coupling gate accepts, then LU for small chains,
+//                   then Gauss-Seidel, then power iteration from
+//                   Gauss-Seidel's pi as the last resort. Escalation is
+//                   certificate-driven: a result that fails the independent
+//                   check falls through to the next stage.
 #pragma once
 
 #include <cstdint>
@@ -46,23 +44,19 @@
 
 namespace tags::ctmc {
 
+/// The numeric values are stable: 4 belonged to the removed GMRES method
+/// and stays unused, so printed values and test-case names keep meaning
+/// the same method.
 enum class SteadyStateMethod {
-  kAuto,
-  kDenseLu,
-  kGaussSeidel,
-  kPower,
-  kGmres,
-  kLevelQbd,
-  kNcdAd,
+  kAuto = 0,
+  kDenseLu = 1,
+  kGaussSeidel = 2,
+  kPower = 3,
+  kLevelQbd = 5,
+  kNcdAd = 6,
 };
 
 [[nodiscard]] std::string_view to_string(SteadyStateMethod m) noexcept;
-
-/// Symmetric reordering applied around a solve (PermutedSolve): the system
-/// P·Q·Pᵀ is solved and π unpermuted. kRcm shrinks bandwidth for the
-/// iterative methods' cache locality; it is bandwidth-guarded (falls back
-/// to the natural order when it would not help), so it is never worse.
-enum class SteadyStateReorder { kNone, kRcm };
 
 struct SteadyStateOptions {
   SteadyStateMethod method = SteadyStateMethod::kAuto;
@@ -80,9 +74,6 @@ struct SteadyStateOptions {
   /// level size); 0 keeps the built-in default. An explicit kLevelQbd
   /// request ignores the gate entirely.
   linalg::index_t structured_max_block = 0;
-  /// Reordering for the solve (see SteadyStateReorder). Off by default:
-  /// the structured path carries its own level permutation internally.
-  SteadyStateReorder reorder = SteadyStateReorder::kNone;
   /// Stamp every attempt with a certificate (true-residual recompute,
   /// non-finite guard, probability-mass check, condition estimate on the
   /// dense-LU path). kAuto escalates on certification failure, not just on
@@ -132,7 +123,7 @@ struct SteadyStateResult {
   linalg::Certificate certificate;
   /// Every method attempted, in order; the last entry is method_used.
   /// A single-method request yields one entry; kAuto records its whole
-  /// fallback chain (level-QBD, NCD-AD, LU, Gauss-Seidel, GMRES, power
+  /// fallback chain (level-QBD, NCD-AD, LU, Gauss-Seidel, power
   /// iteration), including gate-declined fast paths (entries with a
   /// non-empty gate_reason, which never count as executed methods).
   std::vector<SteadyStateAttempt> attempts;

@@ -1,11 +1,48 @@
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "linalg/solver.hpp"
-#include "linalg/solver_internal.hpp"
 #include "linalg/sweep_kernel.hpp"
+#include "obs/obs.hpp"
 
 namespace tags::linalg {
+
+namespace {
+
+/// Classify the outcome (relative residual, divergence vs stagnation) and
+/// feed the observability layer. `initial_residual` is ||b - A x0||_inf for
+/// the entering guess.
+void finalize_solve(SolveResult& res, index_t n, double b_norm_inf, double initial_residual,
+                    std::uint64_t start_ns, const std::string& note = {}) {
+  res.final_relative_residual =
+      b_norm_inf > 0.0 ? res.residual / b_norm_inf : res.residual;
+  res.diverged =
+      !res.converged &&
+      (!std::isfinite(res.residual) ||
+       (std::isfinite(initial_residual) && res.residual > 10.0 * initial_residual &&
+        res.residual > b_norm_inf));
+  if (obs::metrics_on()) {
+    obs::count("linalg.gauss-seidel.solves");
+    obs::count("linalg.gauss-seidel.iterations",
+               static_cast<std::uint64_t>(res.iterations < 0 ? 0 : res.iterations));
+    obs::SolveRecord rec;
+    rec.context = "linear";
+    rec.method = "gauss-seidel";
+    rec.n = n;
+    rec.iterations = res.iterations;
+    rec.residual = res.residual;
+    rec.relative_residual = res.final_relative_residual;
+    rec.converged = res.converged;
+    rec.diverged = res.diverged;
+    rec.wall_ms = static_cast<double>(obs::now_ns() - start_ns) / 1e6;
+    rec.note = note;
+    obs::record_solve(std::move(rec));
+  }
+}
+
+}  // namespace
 
 SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
                          const SolveOptions& opts) {
@@ -37,8 +74,7 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
       obs::emit(std::move(ev));
     }
     res.residual = initial_residual;
-    detail::finalize_solve(res, "gauss-seidel", a.rows(), b_norm, initial_residual,
-                           start_ns, "zero-diagonal");
+    finalize_solve(res, a.rows(), b_norm, initial_residual, start_ns, "zero-diagonal");
     res.diverged = true;  // after finalize_solve, which re-derives the flag
     return res;
   }
@@ -54,16 +90,14 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
       if (res.residual <= opts.tol) {
         res.converged = true;
         ++res.iterations;
-        detail::finalize_solve(res, "gauss-seidel", a.rows(), b_norm,
-                               initial_residual, start_ns);
+        finalize_solve(res, a.rows(), b_norm, initial_residual, start_ns);
         return res;
       }
     }
   }
   res.residual = a.residual_inf(x, b, scratch);
   res.converged = res.residual <= opts.tol;
-  detail::finalize_solve(res, "gauss-seidel", a.rows(), b_norm, initial_residual,
-                         start_ns);
+  finalize_solve(res, a.rows(), b_norm, initial_residual, start_ns);
   return res;
 }
 

@@ -14,19 +14,6 @@ std::vector<index_t> Permutation::inverse() const {
   return inv;
 }
 
-bool Permutation::is_identity() const noexcept {
-  for (std::size_t k = 0; k < order.size(); ++k)
-    if (order[k] != static_cast<index_t>(k)) return false;
-  return true;
-}
-
-Permutation Permutation::identity(index_t n) {
-  Permutation p;
-  p.order.resize(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) p.order[static_cast<std::size_t>(i)] = i;
-  return p;
-}
-
 index_t LevelDecomposition::max_block() const noexcept {
   index_t mx = 0;
   for (std::size_t l = 0; l + 1 < level_ptr.size(); ++l)
@@ -75,159 +62,6 @@ LevelDecomposition bfs_levels(const CsrMatrix& q) {
   }
   d.connected = d.perm.order.size() == static_cast<std::size_t>(n);
   return d;
-}
-
-namespace {
-
-/// Undirected adjacency (CSR of the symmetrised pattern, self-loops
-/// dropped) — what both RCM and its bandwidth arguments are defined over.
-struct SymGraph {
-  std::vector<index_t> ptr, adj, degree;
-};
-
-SymGraph symmetrize(const CsrMatrix& q) {
-  const index_t n = q.rows();
-  const CsrMatrix& qt = q.transpose_cache();
-  SymGraph g;
-  g.ptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  // Merge the sorted neighbour lists of q and qt per row, deduplicating.
-  std::vector<index_t> merged;
-  std::vector<std::vector<index_t>> rows(static_cast<std::size_t>(n));
-  for (index_t u = 0; u < n; ++u) {
-    const auto a = q.row_cols(u);
-    const auto b = qt.row_cols(u);
-    merged.clear();
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(merged));
-    auto& row = rows[static_cast<std::size_t>(u)];
-    for (const index_t v : merged)
-      if (v != u) row.push_back(v);
-    g.ptr[static_cast<std::size_t>(u) + 1] =
-        g.ptr[static_cast<std::size_t>(u)] + static_cast<index_t>(row.size());
-  }
-  g.adj.reserve(static_cast<std::size_t>(g.ptr.back()));
-  g.degree.resize(static_cast<std::size_t>(n));
-  for (index_t u = 0; u < n; ++u) {
-    const auto& row = rows[static_cast<std::size_t>(u)];
-    g.degree[static_cast<std::size_t>(u)] = static_cast<index_t>(row.size());
-    g.adj.insert(g.adj.end(), row.begin(), row.end());
-  }
-  return g;
-}
-
-std::span<const index_t> neighbours(const SymGraph& g, index_t u) {
-  return {g.adj.data() + g.ptr[static_cast<std::size_t>(u)],
-          static_cast<std::size_t>(g.ptr[static_cast<std::size_t>(u) + 1] -
-                                   g.ptr[static_cast<std::size_t>(u)])};
-}
-
-/// BFS from `start` within the unvisited component; returns the visit order
-/// and the last level (candidates for a more peripheral start).
-struct BfsOut {
-  std::vector<index_t> order;
-  std::vector<index_t> last_level;
-  int eccentricity = 0;
-};
-
-BfsOut bfs_component(const SymGraph& g, index_t start, std::vector<int>& mark, int tag) {
-  BfsOut out;
-  std::vector<index_t> frontier{start}, next;
-  mark[static_cast<std::size_t>(start)] = tag;
-  while (!frontier.empty()) {
-    std::sort(frontier.begin(), frontier.end());
-    out.order.insert(out.order.end(), frontier.begin(), frontier.end());
-    out.last_level = frontier;
-    next.clear();
-    for (const index_t u : frontier) {
-      for (const index_t v : neighbours(g, u)) {
-        if (mark[static_cast<std::size_t>(v)] != tag) {
-          mark[static_cast<std::size_t>(v)] = tag;
-          next.push_back(v);
-        }
-      }
-    }
-    if (!next.empty()) ++out.eccentricity;
-    frontier.swap(next);
-  }
-  return out;
-}
-
-/// George-Liu pseudo-peripheral node: walk to a min-degree node of the last
-/// BFS level until the eccentricity stops growing.
-index_t pseudo_peripheral(const SymGraph& g, index_t start, std::vector<int>& mark,
-                          int& tag) {
-  index_t node = start;
-  BfsOut bfs = bfs_component(g, node, mark, ++tag);
-  for (int rounds = 0; rounds < 8; ++rounds) {  // converges in 2-3 in practice
-    index_t best = bfs.last_level.front();
-    for (const index_t v : bfs.last_level) {
-      if (g.degree[static_cast<std::size_t>(v)] < g.degree[static_cast<std::size_t>(best)] ||
-          (g.degree[static_cast<std::size_t>(v)] == g.degree[static_cast<std::size_t>(best)] &&
-           v < best)) {
-        best = v;
-      }
-    }
-    BfsOut trial = bfs_component(g, best, mark, ++tag);
-    if (trial.eccentricity <= bfs.eccentricity) break;
-    node = best;
-    bfs = std::move(trial);
-  }
-  return node;
-}
-
-}  // namespace
-
-Permutation rcm_order(const CsrMatrix& q) {
-  assert(q.rows() == q.cols());
-  const index_t n = q.rows();
-  if (n == 0) return Permutation{};
-  const SymGraph g = symmetrize(q);
-
-  std::vector<int> mark(static_cast<std::size_t>(n), 0);
-  int tag = 0;
-  std::vector<index_t> cm;
-  cm.reserve(static_cast<std::size_t>(n));
-  std::vector<char> placed(static_cast<std::size_t>(n), 0);
-  std::vector<index_t> nbrs;
-
-  for (index_t seed = 0; seed < n; ++seed) {
-    if (placed[static_cast<std::size_t>(seed)]) continue;
-    // New component: Cuthill-McKee from a pseudo-peripheral start.
-    const index_t start = pseudo_peripheral(g, seed, mark, tag);
-    std::size_t head = cm.size();
-    cm.push_back(start);
-    placed[static_cast<std::size_t>(start)] = 1;
-    while (head < cm.size()) {
-      const index_t u = cm[head++];
-      nbrs.clear();
-      for (const index_t v : neighbours(g, u))
-        if (!placed[static_cast<std::size_t>(v)]) nbrs.push_back(v);
-      std::sort(nbrs.begin(), nbrs.end(), [&](index_t a, index_t b) {
-        const index_t da = g.degree[static_cast<std::size_t>(a)];
-        const index_t db = g.degree[static_cast<std::size_t>(b)];
-        return da != db ? da < db : a < b;
-      });
-      for (const index_t v : nbrs) {
-        cm.push_back(v);
-        placed[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  }
-  std::reverse(cm.begin(), cm.end());
-
-  Permutation p;
-  p.order = std::move(cm);
-  // Bandwidth guard: keep the reordering only when it strictly helps, so
-  // callers can rely on "never worse than the natural order".
-  const CsrMatrix permuted = permute_symmetric(q, p);
-  if (bandwidth(permuted) >= bandwidth(q)) return Permutation::identity(n);
-  return p;
-}
-
-index_t bandwidth(const CsrMatrix& a) {
-  index_t bw = 0;
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (const index_t j : a.row_cols(i)) bw = std::max(bw, i < j ? j - i : i - j);
-  return bw;
 }
 
 CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p) {

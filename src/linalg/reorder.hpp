@@ -1,8 +1,7 @@
-// Symmetric permutations of sparse matrices: BFS level sets and reverse
-// Cuthill-McKee. Two consumers: the structured steady-state path uses the
-// BFS level decomposition to expose the block-tridiagonal (QBD) shape of
-// bounded-queue generators, and the iterative chain can solve the RCM
-// reordering P·Q·Pᵀ for bandwidth (cache locality) and unpermute π.
+// Symmetric permutations of sparse matrices and BFS level sets. The
+// structured steady-state path uses the BFS level decomposition to expose
+// the block-tridiagonal (QBD) shape of bounded-queue generators, and the
+// NCD solver carries its block permutation in the same form.
 //
 // All orderings are deterministic: ties break on state index, never on
 // traversal or thread interleaving, so permutations — and everything solved
@@ -25,11 +24,6 @@ struct Permutation {
 
   /// The old-to-new map: inverse()[order[k]] == k.
   [[nodiscard]] std::vector<index_t> inverse() const;
-
-  /// True when order[k] == k for all k.
-  [[nodiscard]] bool is_identity() const noexcept;
-
-  [[nodiscard]] static Permutation identity(index_t n);
 };
 
 /// BFS level decomposition over the *symmetrised* pattern of q (an edge in
@@ -52,16 +46,6 @@ struct LevelDecomposition {
 };
 
 [[nodiscard]] LevelDecomposition bfs_levels(const CsrMatrix& q);
-
-/// Reverse Cuthill-McKee ordering on the symmetrised pattern: BFS from a
-/// pseudo-peripheral start, neighbours visited in increasing-degree order
-/// (ties by index), then reversed. Guarded: if the reordering does not
-/// strictly shrink the bandwidth, the identity is returned instead — the
-/// result is never worse than no reordering.
-[[nodiscard]] Permutation rcm_order(const CsrMatrix& q);
-
-/// max |i - j| over stored entries (0 for diagonal/empty matrices).
-[[nodiscard]] index_t bandwidth(const CsrMatrix& a);
 
 /// B = P A P^T under the new-to-old convention: B(i, j) = A(order[i], order[j]).
 [[nodiscard]] CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p);

@@ -1,45 +1,29 @@
-// Common types for the iterative solvers plus a dispatching front-end.
+// Gauss-Seidel/SOR for a general sparse linear system, with the result type
+// the observability layer records.
 //
-// All solvers solve A x = b for general (square, nonsingular) A in CSR form,
-// starting from the caller-supplied initial guess in x. Convergence is
-// declared on the max-norm residual ||b - A x||_inf <= tol.
+// Solves A x = b for square, nonsingular A in CSR form, starting from the
+// caller-supplied initial guess in x. Convergence is declared on the
+// max-norm residual ||b - A x||_inf <= tol. The steady-state solvers in
+// ctmc/steady_state run their own sweeps on the balance equations; this
+// one serves the absorbing-chain systems of ctmc/first_passage.
 #pragma once
 
 #include <span>
-#include <string_view>
 
 #include "linalg/csr.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace tags::linalg {
 
-enum class IterativeMethod {
-  kJacobi,
-  kGaussSeidel,  // forward sweeps; omega != 1 gives SOR
-  kGmres,        // restarted, optional Jacobi (diagonal) preconditioning
-  kBicgstab,
-};
-
-[[nodiscard]] std::string_view to_string(IterativeMethod m) noexcept;
-
-/// Left preconditioner for the Krylov methods.
-enum class Preconditioner {
-  kNone,
-  kJacobi,       ///< scale rows by 1/diag
-  kGaussSeidel,  ///< forward solve with D+L (needs nonzero diagonal)
-};
-
 struct SolveOptions {
   double tol = 1e-12;       ///< max-norm residual target
-  int max_iter = 50000;     ///< sweeps (relaxation) or total inner steps (Krylov)
-  double omega = 1.0;       ///< SOR relaxation factor (Gauss-Seidel only)
-  int restart = 60;         ///< GMRES restart length
-  Preconditioner precond = Preconditioner::kJacobi;  ///< Krylov methods only
+  int max_iter = 50000;     ///< sweep budget
+  double omega = 1.0;       ///< SOR relaxation factor (1 = plain Gauss-Seidel)
 };
 
 struct SolveResult {
   bool converged = false;
-  int iterations = 0;       ///< sweeps or matrix-vector products performed
+  int iterations = 0;       ///< sweeps performed
   double residual = 0.0;    ///< final ||b - A x||_inf
   /// residual / ||b||_inf (equals `residual` when b = 0).
   double final_relative_residual = 0.0;
@@ -48,21 +32,7 @@ struct SolveResult {
   bool diverged = false;
 };
 
-[[nodiscard]] SolveResult jacobi(const CsrMatrix& a, std::span<const double> b,
-                                 Vec& x, const SolveOptions& opts);
-
 [[nodiscard]] SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b,
                                        Vec& x, const SolveOptions& opts);
-
-[[nodiscard]] SolveResult gmres(const CsrMatrix& a, std::span<const double> b,
-                                Vec& x, const SolveOptions& opts);
-
-[[nodiscard]] SolveResult bicgstab(const CsrMatrix& a, std::span<const double> b,
-                                   Vec& x, const SolveOptions& opts);
-
-/// Dispatch on method enum.
-[[nodiscard]] SolveResult solve_iterative(IterativeMethod method, const CsrMatrix& a,
-                                          std::span<const double> b, Vec& x,
-                                          const SolveOptions& opts);
 
 }  // namespace tags::linalg

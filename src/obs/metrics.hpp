@@ -20,7 +20,7 @@ namespace tags::obs {
 /// One solver invocation, as recorded by the linalg and CTMC layers.
 struct SolveRecord {
   std::string context;  ///< "linear" or "steady_state"
-  std::string method;   ///< "jacobi", "gmres", "gauss-seidel", ...
+  std::string method;   ///< "gauss-seidel", "dense-lu", "level-qbd", ...
   std::int64_t n = 0;   ///< system size (CTMC states / matrix rows)
   int iterations = 0;
   double residual = 0.0;
@@ -33,8 +33,9 @@ struct SolveRecord {
   /// Hager 1-norm condition estimate; 0 when the path did not compute one.
   double condition = 0.0;
   double wall_ms = 0.0;
-  std::string attempts;  ///< kAuto fallback chain, e.g. "gauss-seidel,gmres"
-  std::string note;      ///< free-form (preconditioner choice, restart length)
+  /// kAuto fallback chain, e.g. "level-qbd[gate:level-too-wide],gauss-seidel"
+  std::string attempts;
+  std::string note;      ///< free-form, e.g. "zero-diagonal" on a bailout
 };
 
 #if TAGS_OBS_ENABLED

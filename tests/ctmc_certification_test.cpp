@@ -6,6 +6,10 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ctmc/builder.hpp"
 #include "ctmc/steady_state.hpp"
@@ -53,7 +57,6 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, CertifiedMethods,
                                            SteadyStateMethod::kDenseLu,
                                            SteadyStateMethod::kGaussSeidel,
                                            SteadyStateMethod::kPower,
-                                           SteadyStateMethod::kGmres,
                                            SteadyStateMethod::kLevelQbd));
 
 TEST(Certification, DisablingItLeavesDefaultCertificate) {
@@ -94,7 +97,8 @@ TEST(Certification, AutoEscalatesWhenCertificationFails) {
 
 TEST(Certification, PoisonedGeneratorNeverCertifies) {
   // A NaN rate propagates into every solve; whatever the chain returns as
-  // "best attempt" must carry a failed certificate, never a clean one.
+  // "best attempt" must carry a failed certificate, never a clean one. It
+  // also walks the whole kAuto chain, which pins where the chain ends.
   linalg::CooMatrix coo(2, 2);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   coo.add(0, 1, nan);
@@ -107,11 +111,38 @@ TEST(Certification, PoisonedGeneratorNeverCertifies) {
 #if TAGS_OBS_ENABLED
   obs::Counter uncertified("numerics.steady_state.uncertified_returns");
   const std::uint64_t before = uncertified.value();
+  const obs::Level level = obs::level();
+  auto sink = std::make_shared<obs::MemorySink>();
+  obs::install_trace_sink(sink, /*sample_every=*/1);
 #endif
   const auto res = ctmc::steady_state(q, opts);
   EXPECT_FALSE(res.certificate.ok());
+  std::vector<std::string> tried;
+  for (const auto& a : res.attempts) {
+    EXPECT_TRUE(a.gate_reason.empty()) << ctmc::to_string(a.method);
+    tried.emplace_back(ctmc::to_string(a.method));
+  }
+  EXPECT_EQ(tried,
+            (std::vector<std::string>{"level-qbd", "dense-lu", "gauss-seidel", "power"}));
 #if TAGS_OBS_ENABLED
+  obs::clear_trace_sink();
+  obs::set_level(level);
   EXPECT_GE(uncertified.value(), before + 1);
+  // Each fallback names the stage that actually ran next.
+  std::vector<std::pair<std::string, std::string>> fallbacks;
+  for (const obs::TraceEvent& ev : sink->events()) {
+    if (ev.name != "steady_state.fallback") continue;
+    std::string from, to;
+    for (const auto& [key, value] : ev.str) {
+      if (key == "from") from = value;
+      if (key == "to") to = value;
+    }
+    fallbacks.emplace_back(from, to);
+  }
+  EXPECT_EQ(fallbacks, (std::vector<std::pair<std::string, std::string>>{
+                           {"level-qbd", "dense-lu"},
+                           {"dense-lu", "gauss-seidel"},
+                           {"gauss-seidel", "power"}}));
 #endif
 }
 

@@ -157,7 +157,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 3u, 10u, 25u),
                        ::testing::Values(ctmc::SteadyStateMethod::kDenseLu,
                                          ctmc::SteadyStateMethod::kGaussSeidel,
-                                         ctmc::SteadyStateMethod::kGmres,
                                          ctmc::SteadyStateMethod::kPower)));
 
 TEST(SteadyState, WarmStartGivesSameAnswer) {

@@ -2,14 +2,19 @@
 // gate in the kAuto chain: strong edges never cross block boundaries, the
 // blocks-contiguous permutation is consistent, IAD matches dense LU on
 // randomized nearly-decomposable chains, the coupling gate declines the
-// strongly-coupled TAGS chain bit-identically to the pre-NCD chain, and
-// the rebind-aware partition cache survives value rebinds while a
-// dimension change invalidates it.
+// strongly-coupled TAGS chain bit-identically to the pre-NCD chain, a
+// level-QBD fall-through is traced as handing over to NCD-AD, and the
+// rebind-aware partition cache survives value rebinds while a dimension
+// change invalidates it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ctmc/builder.hpp"
 #include "ctmc/steady_state.hpp"
@@ -307,6 +312,48 @@ TEST(NcdGate, RareTimeoutTagsChainAccepted) {
   const auto generic = ctmc::steady_state(q, off);
   ASSERT_TRUE(generic.converged);
   EXPECT_LT(linalg::max_abs_diff(res.pi, generic.pi), 1e-7);
+}
+
+TEST(NcdGate, FallbackTraceNamesTheStageThatRunsNext) {
+  // A weakly-coupled chain above the dense-LU ceiling, with the level-QBD
+  // gate opened wide and a certificate nothing can pass: every stage runs
+  // and falls through. Level-QBD hands over to NCD-AD, the stage that
+  // actually runs next, not to the Gauss-Seidel this chain size would
+  // reach without it.
+  const auto chain = random_ncd_chain(8, 160, 77);
+  ctmc::SteadyStateOptions opts;
+  opts.structured_max_block = chain.n_states();
+  opts.certify_opts.residual_bound = 0.0;
+  opts.max_iter = 64;  // nothing can certify; don't burn the budget
+#if TAGS_OBS_ENABLED
+  const obs::Level level = obs::level();
+  auto sink = std::make_shared<obs::MemorySink>();
+  obs::install_trace_sink(sink, /*sample_every=*/1);
+#endif
+  const auto res = ctmc::steady_state(chain, opts);
+  EXPECT_FALSE(res.certificate.ok());
+  std::vector<std::string> tried;
+  for (const auto& a : res.attempts) tried.emplace_back(ctmc::to_string(a.method));
+  EXPECT_EQ(tried,
+            (std::vector<std::string>{"level-qbd", "ncd-ad", "gauss-seidel", "power"}));
+#if TAGS_OBS_ENABLED
+  obs::clear_trace_sink();
+  obs::set_level(level);
+  std::vector<std::pair<std::string, std::string>> fallbacks;
+  for (const obs::TraceEvent& ev : sink->events()) {
+    if (ev.name != "steady_state.fallback") continue;
+    std::string from, to;
+    for (const auto& [key, value] : ev.str) {
+      if (key == "from") from = value;
+      if (key == "to") to = value;
+    }
+    fallbacks.emplace_back(from, to);
+  }
+  EXPECT_EQ(fallbacks, (std::vector<std::pair<std::string, std::string>>{
+                           {"level-qbd", "ncd-ad"},
+                           {"ncd-ad", "gauss-seidel"},
+                           {"gauss-seidel", "power"}}));
+#endif
 }
 
 TEST(NcdCache, ValueRebindReusesPartition) {

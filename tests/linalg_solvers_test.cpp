@@ -1,11 +1,11 @@
-// Iterative solver tests: all methods must solve diagonally dominant random
-// systems to tolerance; Krylov methods must also handle nonsymmetric
-// systems that defeat simple relaxation.
+// Linear Gauss-Seidel/SOR tests: diagonally dominant random systems solve
+// to tolerance, the sweep budget holds, and a zero diagonal fails
+// explicitly instead of poisoning the iterate.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
-#include <tuple>
+#include <string>
 
 #include "linalg/solver.hpp"
 
@@ -33,12 +33,10 @@ CsrMatrix diag_dominant(std::size_t n, unsigned seed) {
   return CsrMatrix::from_coo(coo);
 }
 
-using Case = std::tuple<IterativeMethod, std::size_t>;
-
-class SolverTest : public ::testing::TestWithParam<Case> {};
+class SolverTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SolverTest, SolvesDiagonallyDominantSystem) {
-  const auto [method, n] = GetParam();
+  const std::size_t n = GetParam();
   const CsrMatrix a = diag_dominant(n, 17 + static_cast<unsigned>(n));
   std::mt19937 gen(99);
   std::uniform_real_distribution<double> dist(-5.0, 5.0);
@@ -50,14 +48,13 @@ TEST_P(SolverTest, SolvesDiagonallyDominantSystem) {
   Vec x(n, 0.0);
   SolveOptions opts;
   opts.tol = 1e-10;
-  const SolveResult r = solve_iterative(method, a, b, x, opts);
-  EXPECT_TRUE(r.converged) << to_string(method) << " n=" << n
-                           << " residual=" << r.residual;
+  const SolveResult r = gauss_seidel(a, b, x, opts);
+  EXPECT_TRUE(r.converged) << "n=" << n << " residual=" << r.residual;
   EXPECT_NEAR(max_abs_diff(x, x_true), 0.0, 1e-7);
 }
 
 TEST_P(SolverTest, StartingAtSolutionStaysThere) {
-  const auto [method, n] = GetParam();
+  const std::size_t n = GetParam();
   const CsrMatrix a = diag_dominant(n, 40 + static_cast<unsigned>(n));
   Vec x_true(n, 1.0);
   Vec b(n);
@@ -65,45 +62,17 @@ TEST_P(SolverTest, StartingAtSolutionStaysThere) {
   Vec x = x_true;
   SolveOptions opts;
   opts.tol = 1e-10;
-  const SolveResult r = solve_iterative(method, a, b, x, opts);
+  const SolveResult r = gauss_seidel(a, b, x, opts);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(max_abs_diff(x, x_true), 0.0, 1e-8);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MethodsAndSizes, SolverTest,
-    ::testing::Combine(::testing::Values(IterativeMethod::kJacobi,
-                                         IterativeMethod::kGaussSeidel,
-                                         IterativeMethod::kGmres,
-                                         IterativeMethod::kBicgstab),
-                       ::testing::Values(1, 2, 8, 32, 128, 512)),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      std::string name(to_string(std::get<0>(info.param)));
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name + "_n" + std::to_string(std::get<1>(info.param));
-    });
-
-TEST(SolverEdge, GmresHandlesNonsymmetricNonDominant) {
-  // Small skew system where Jacobi diverges but GMRES is exact in n steps.
-  CooMatrix coo(3, 3);
-  coo.add(0, 0, 1.0);
-  coo.add(0, 1, 4.0);
-  coo.add(1, 0, -4.0);
-  coo.add(1, 1, 1.0);
-  coo.add(2, 2, 2.0);
-  coo.add(0, 2, 1.0);
-  const CsrMatrix a = CsrMatrix::from_coo(coo);
-  const Vec b{1.0, 2.0, 3.0};
-  Vec x(3, 0.0);
-  SolveOptions opts;
-  opts.tol = 1e-12;
-  const SolveResult r = gmres(a, b, x, opts);
-  EXPECT_TRUE(r.converged);
-  Vec scratch(3);
-  EXPECT_LE(a.residual_inf(x, b, scratch), 1e-10);
-}
+INSTANTIATE_TEST_SUITE_P(Sizes, SolverTest, ::testing::Values(1, 2, 8, 32, 128, 512),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
 
 TEST(SolverEdge, SorRelaxationConverges) {
   const CsrMatrix a = diag_dominant(64, 5);
@@ -126,16 +95,9 @@ TEST(SolverEdge, IterationBudgetRespected) {
   SolveOptions opts;
   opts.tol = 1e-30;  // unreachable
   opts.max_iter = 5;
-  const SolveResult r = jacobi(a, b, x, opts);
+  const SolveResult r = gauss_seidel(a, b, x, opts);
   EXPECT_FALSE(r.converged);
   EXPECT_LE(r.iterations, 6);
-}
-
-TEST(SolverEdge, MethodNamesRoundTrip) {
-  EXPECT_EQ(to_string(IterativeMethod::kJacobi), "jacobi");
-  EXPECT_EQ(to_string(IterativeMethod::kGaussSeidel), "gauss-seidel");
-  EXPECT_EQ(to_string(IterativeMethod::kGmres), "gmres");
-  EXPECT_EQ(to_string(IterativeMethod::kBicgstab), "bicgstab");
 }
 
 // Regression: a structural zero on the diagonal used to make the sweep

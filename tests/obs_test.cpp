@@ -196,13 +196,13 @@ TEST_F(ObsTest, NoTraceEventsWhenTracingOff) {
 TEST_F(ObsTest, SolveRecordsCaptureLinearSolves) {
   const auto a = diag_dominant(32, 3);
   linalg::Vec b(32, 1.0), x(32, 0.0);
-  const auto r = linalg::gmres(a, b, x, {});
+  const auto r = linalg::gauss_seidel(a, b, x, {});
   ASSERT_TRUE(r.converged);
   const auto records = obs::solve_records();
   ASSERT_FALSE(records.empty());
   const auto& rec = records.back();
   EXPECT_EQ(rec.context, "linear");
-  EXPECT_EQ(rec.method, "gmres");
+  EXPECT_EQ(rec.method, "gauss-seidel");
   EXPECT_EQ(rec.n, 32);
   EXPECT_TRUE(rec.converged);
   EXPECT_FALSE(rec.diverged);
@@ -243,8 +243,8 @@ TEST(SolveResultExtensions, RelativeResidualScalesWithB) {
 }
 
 TEST(SolveResultExtensions, DivergenceFlaggedOnBlowup) {
-  // Jacobi diverges when the iteration matrix has spectral radius > 1:
-  // strong off-diagonal coupling does it.
+  // Gauss-Seidel diverges when the iteration matrix has spectral radius
+  // > 1: strong off-diagonal coupling does it (here the radius is 9).
   linalg::CooMatrix coo(2, 2);
   coo.add(0, 0, 1.0);
   coo.add(0, 1, 3.0);
@@ -255,7 +255,7 @@ TEST(SolveResultExtensions, DivergenceFlaggedOnBlowup) {
   linalg::Vec x{5.0, -5.0};
   linalg::SolveOptions opts;
   opts.max_iter = 200;
-  const auto r = linalg::jacobi(a, b, x, opts);
+  const auto r = linalg::gauss_seidel(a, b, x, opts);
   EXPECT_FALSE(r.converged);
   EXPECT_TRUE(r.diverged);
 }
