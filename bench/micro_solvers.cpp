@@ -11,17 +11,19 @@
 // tools/check_bench_json.py --require-gauge). `--solvers-report-only`
 // skips the google-benchmark suite.
 //
-// Findings (visible in the report): on the deep/narrow chains the paper
-// sweeps (fig06/fig09 at large K1 with small K2), block elimination on the
-// BFS level structure beats the generic chain by 3-5x; on square chains
-// the widest level approaches sqrt(n) and the O(m^2)-per-state cost loses,
-// which is exactly what the detector's profitability gate encodes.
+// Findings (visible in the report): on square chains the widest level
+// approaches sqrt(n) and the O(m^2)-per-state cost loses, which is what
+// the detector's profitability gate encodes. On the deep/narrow chains the
+// paper sweeps (fig06/fig09 at large K1 with small K2) the gate accepts,
+// yet block elimination on the BFS level structure runs at only about
+// 0.45x (TAGS) and 0.7x (H2) of the speed of the flow-directed
+// Gauss-Seidel sweeps (see the level-QBD gate item in ROADMAP.md).
 //
 // The report also exercises the NCD aggregation-disaggregation path on a
 // rare-timeout square chain (k1=k2=10, t=0.4): the short cutoff makes
 // host-2 re-runs rare, the chain falls apart into ~70 weakly-coupled
 // blocks, the QBD bandwidth guard declines (levels too wide), and the
-// certified NCD solver beats the Gauss-Seidel fallback by 2.5-6x. On the
+// certified NCD solver beats the Gauss-Seidel fallback by about 3x. On the
 // strongly-coupled square chain at t=50 the coupling gate declines
 // ("one-block") and kAuto stays bit-identical to the pre-NCD chain.
 #include <benchmark/benchmark.h>

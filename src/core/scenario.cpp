@@ -212,9 +212,12 @@ std::uint64_t rate_digest(const ScenarioRequest& req) noexcept {
 
 std::string structure_key(const ScenarioRequest& req) {
   std::string key(to_string(req.policy));
-  key += "/n" + std::to_string(req.n);
-  key += "/k" + std::to_string(req.k1);
-  key += "." + std::to_string(req.k2);
+  key += "/n";
+  key += std::to_string(req.n);
+  key += "/k";
+  key += std::to_string(req.k1);
+  key += '.';
+  key += std::to_string(req.k2);
   return key;
 }
 
@@ -354,11 +357,10 @@ ScenarioOutcome ScenarioSlot::evaluate(const ScenarioRequest& req,
   // Overlay the slot's warm-start guess — and its NCD partition cache,
   // which is slot state exactly like the guess — on the caller's solver
   // options. A caller-supplied cache wins (they own the sharing policy).
-  auto guess = std::move(s.warm.opts.initial_guess);
-  auto ncd_cache = std::move(s.warm.opts.ncd_cache);
-  s.warm.opts = opts;
-  s.warm.opts.initial_guess = std::move(guess);
-  if (!s.warm.opts.ncd_cache) s.warm.opts.ncd_cache = std::move(ncd_cache);
+  ctmc::SteadyStateOptions next = opts;
+  next.initial_guess = std::move(s.warm.opts.initial_guess);
+  if (!next.ncd_cache) next.ncd_cache = std::move(s.warm.opts.ncd_cache);
+  s.warm.opts = std::move(next);
   s.warm.reconcile(s.active->n_states());
   ctmc::SteadyStateResult solved = s.active->solve(s.warm.opts);
   s.warm.accept(solved);

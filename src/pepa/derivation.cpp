@@ -73,7 +73,9 @@ seq_id SeqSpace::from_ast(const Process& p) {
       Term t;
       t.kind = Term::Kind::kConst;
       t.def_index = index;
-      return intern(t, "K" + std::to_string(index));
+      std::string key = "K";
+      key += std::to_string(index);
+      return intern(t, std::move(key));
     }
     case K::kPrefix: {
       Term t;
@@ -81,8 +83,12 @@ seq_id SeqSpace::from_ast(const Process& p) {
       t.action = actions_->intern(p.action);
       t.rate = eval_rate(*p.rate, params_);
       t.cont = from_ast(*p.continuation);
-      std::string key = "P" + std::to_string(t.action) + "|" + rate_key(t.rate) + "|" +
-                        std::to_string(t.cont);
+      std::string key = "P";
+      key += std::to_string(t.action);
+      key += '|';
+      key += rate_key(t.rate);
+      key += '|';
+      key += std::to_string(t.cont);
       return intern(t, std::move(key));
     }
     case K::kChoice: {
@@ -90,8 +96,10 @@ seq_id SeqSpace::from_ast(const Process& p) {
       t.kind = Term::Kind::kChoice;
       t.left = from_ast(*p.left);
       t.right = from_ast(*p.right);
-      std::string key =
-          "C" + std::to_string(t.left) + "," + std::to_string(t.right);
+      std::string key = "C";
+      key += std::to_string(t.left);
+      key += ',';
+      key += std::to_string(t.right);
       return intern(t, std::move(key));
     }
     case K::kCoop:
@@ -410,19 +418,18 @@ std::string DerivedModel::local_name(std::size_t state, std::size_t leaf) const 
 
 linalg::Vec DerivedModel::population_reward(std::string_view derivative) const {
   linalg::Vec reward(states.size(), 0.0);
-  // Precompute which seq ids match the requested printable name.
-  std::unordered_map<seq_id, double> match;
-  for (std::size_t s = 0; s < states.size(); ++s) {
-    for (seq_id id : states[s]) {
-      const auto it = match.find(id);
-      if (it == match.end()) {
-        match.emplace(id, seq->name(id) == derivative ? 1.0 : 0.0);
-      }
+  // Whether each seq id's printable name is the requested one, indexed by
+  // id; -1 until the id is first met, so only ids in some state are named.
+  std::vector<double> match(seq->size(), -1.0);
+  for (const std::vector<seq_id>& state : states) {
+    for (seq_id id : state) {
+      double& m = match[static_cast<std::size_t>(id)];
+      if (m < 0.0) m = seq->name(id) == derivative ? 1.0 : 0.0;
     }
   }
   for (std::size_t s = 0; s < states.size(); ++s) {
     double count = 0.0;
-    for (seq_id id : states[s]) count += match[id];
+    for (seq_id id : states[s]) count += match[static_cast<std::size_t>(id)];
     reward[s] = count;
   }
   return reward;

@@ -37,7 +37,10 @@ std::string print_rate(const RateExpr& e, int parent_prec) {
     case K::kNumber: body = format_rate(e.number); break;
     case K::kIdent: body = e.ident; break;
     case K::kInfty: body = "infty"; break;
-    case K::kNeg: body = "-" + print_rate(*e.lhs, prec); break;
+    case K::kNeg:
+      body = "-";
+      body += print_rate(*e.lhs, prec);
+      break;
     case K::kAdd: body = print_rate(*e.lhs, prec) + " + " + print_rate(*e.rhs, prec + 1); break;
     case K::kSub: body = print_rate(*e.lhs, prec) + " - " + print_rate(*e.rhs, prec + 1); break;
     case K::kMul: body = print_rate(*e.lhs, prec) + " * " + print_rate(*e.rhs, prec + 1); break;

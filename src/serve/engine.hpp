@@ -27,13 +27,13 @@ struct EngineOptions {
   unsigned threads = 0;             ///< solver workers; 0: ThreadPool default
   std::size_t cache_capacity = 256; ///< retained answers (LRU); 0 disables
   std::size_t queue_depth = 64;     ///< admission bound before shedding
-  ctmc::SteadyStateOptions solve;   ///< solver configuration for every request
+  ctmc::SteadyStateOptions solve{}; ///< solver configuration for every request
   /// Durable store directory; empty disables persistence. On construction
   /// the engine warm-loads every valid kAnswer record into the solve cache
   /// (so a restarted server answers known scenarios cached, byte-identical
   /// to the run that computed them), and every fresh solve is committed
   /// back before its response is sent.
-  std::string store_path;
+  std::string store_path{};
 };
 
 class Engine {

@@ -293,7 +293,9 @@ TEST(SimFairness, BucketsPartitionCompletions) {
   for (auto c : r.bucket_count) total += c;
   EXPECT_EQ(total, r.completed);
   for (std::size_t i = 0; i < r.bucket_count.size(); ++i) {
-    if (r.bucket_count[i] > 0) EXPECT_GE(r.bucket_mean_slowdown[i], 1.0);
+    if (r.bucket_count[i] > 0) {
+      EXPECT_GE(r.bucket_mean_slowdown[i], 1.0);
+    }
   }
 }
 

@@ -229,7 +229,9 @@ TEST_F(ObsSpanTest, PoolTasksAreRootsWithoutADispatchingSpan) {
   pool.run(std::move(tasks));
   const auto recs = obs::span_records();
   for (const auto& r : recs) {
-    if (r.name == "core/pool_task") EXPECT_EQ(r.parent_id, 0u);
+    if (r.name == "core/pool_task") {
+      EXPECT_EQ(r.parent_id, 0u);
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "ctmc/reachability.hpp"
 #include "ctmc/steady_state.hpp"
@@ -156,6 +158,55 @@ TEST(GaussSeidelSweeps, PepaOrderFig3ChainKeepsItsSweepCount) {
   EXPECT_EQ(solved.solve_info.method_used, ctmc::SteadyStateMethod::kGaussSeidel);
   EXPECT_TRUE(solved.solve_info.certificate.ok());
   EXPECT_EQ(solved.solve_info.iterations, 128);
+}
+
+// Cold sweep counts of two 12831-state H2 chains: the Fig 9 builder chain
+// at K = 10, t = 50 and the Fig 5 PEPA source at the fig09 point near its
+// optimum (t = 12). How a sweep is computed must not change how many it
+// takes.
+TEST(GaussSeidelSweeps, H2BuilderChainKeepsItsSweepCount) {
+  ctmc::SteadyStateOptions opts;
+  opts.method = ctmc::SteadyStateMethod::kGaussSeidel;
+  const auto r =
+      ctmc::steady_state(models::TagsH2Model(models::TagsH2Params{}).chain().generator(), opts);
+  EXPECT_TRUE(r.certificate.ok());
+  EXPECT_EQ(r.iterations, 1024);
+}
+
+TEST(GaussSeidelSweeps, PepaFig5ChainKeepsItsSweepCount) {
+  const auto p = models::TagsH2Params::from_ratio(11.0, 0.99, 100.0, 0.1, 12.0);
+  ctmc::SteadyStateOptions opts;
+  opts.method = ctmc::SteadyStateMethod::kGaussSeidel;
+  const auto solved = pepa::solve_source(models::tags_h2_pepa_source(p), "System", {}, opts);
+  EXPECT_EQ(solved.model.chain.n_states(), 12831);
+  EXPECT_TRUE(solved.solve_info.certificate.ok());
+  EXPECT_EQ(solved.solve_info.iterations, 7040);
+}
+
+// population_reward against a recount through local_name: for every
+// printable local derivative of the paper's Fig 3 and Fig 5 models, the
+// per-state number of components in it, bit for bit.
+void expect_population_rewards_match_recount(const std::string& source) {
+  const auto dm = pepa::derive(pepa::parse_model(source), "System");
+  std::map<std::string, linalg::Vec> recount;
+  for (std::size_t s = 0; s < dm.states.size(); ++s) {
+    for (std::size_t leaf = 0; leaf < dm.states[s].size(); ++leaf) {
+      linalg::Vec& v =
+          recount.try_emplace(dm.local_name(s, leaf), dm.states.size(), 0.0).first->second;
+      v[s] += 1.0;
+    }
+  }
+  ASSERT_GT(recount.size(), dm.n_components);
+  for (const auto& [name, expected] : recount) {
+    EXPECT_EQ(dm.population_reward(name), expected) << name;
+  }
+  EXPECT_EQ(dm.population_reward("NoSuchDerivative"), linalg::Vec(dm.states.size(), 0.0));
+}
+
+TEST(TagsPepa, PopulationRewardsMatchARecountThroughLocalNames) {
+  expect_population_rewards_match_recount(models::tags_pepa_source(models::TagsParams{}));
+  expect_population_rewards_match_recount(
+      models::tags_h2_pepa_source(models::TagsH2Params::from_ratio(11.0, 0.99, 100.0, 0.1, 12.0)));
 }
 
 TEST(TagsPepa, EmptyTimerStatesArePinned) {

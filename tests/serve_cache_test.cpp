@@ -145,7 +145,9 @@ TEST(ServeCache, ConcurrentEngineRequestsYieldBitIdenticalPi) {
     for (int t = 0; t < kThreads; ++t) {
       clients.emplace_back([&engine, &req, &m, &lines, t] {
         serve::Request mine = req;
-        mine.id = "c" + std::to_string(t);
+        std::string id(1, 'c');
+        id += std::to_string(t);
+        mine.id = std::move(id);
         engine.submit(std::move(mine), [&m, &lines](std::string line) {
           std::lock_guard<std::mutex> lock(m);
           lines.push_back(std::move(line));
