@@ -9,7 +9,7 @@
 // Fox-Glynn over q from 0.1 to 1e6 checking unit mass. Results land in
 // gauges and results/micro_numerics_telemetry.json; the ctest fixture pins
 // bench.micro_numerics.all_solves_certified and .fox_glynn_mass_ok via
-// tools/check_bench_json.py --require-gauge. `--numerics-report-only`
+// tools/check_bench_json.py --require gauges.NAME. `--numerics-report-only`
 // skips the google-benchmark suite.
 #include <benchmark/benchmark.h>
 

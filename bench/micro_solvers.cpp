@@ -8,7 +8,7 @@
 // the speedup, certification verdicts, transpose-cache traffic, and a
 // thread-count determinism cross-check into gauges written to
 // results/micro_solvers_telemetry.json (pinned by the ctest fixture via
-// tools/check_bench_json.py --require-gauge). `--solvers-report-only`
+// tools/check_bench_json.py --require gauges.NAME). `--solvers-report-only`
 // skips the google-benchmark suite.
 //
 // Findings (visible in the report): on square chains the widest level

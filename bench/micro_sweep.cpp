@@ -7,7 +7,7 @@
 // verifies the parallel tables are bit-identical to the serial run and
 // that the merged warm-start counters match, records everything into
 // gauges, and writes results/micro_sweep_telemetry.json (validated by the
-// ctest fixture via tools/check_bench_json.py --require-gauge).
+// ctest fixture via tools/check_bench_json.py --require gauges.NAME).
 // `--sweep-report-only` skips the google-benchmark suite.
 #include <benchmark/benchmark.h>
 

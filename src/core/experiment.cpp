@@ -103,7 +103,7 @@ SweepJournalBinding<models::Metrics> make_metrics_binding(store::SweepJournal& j
 
 std::vector<models::Metrics> tags_t_sweep(const models::TagsParams& base,
                                           const std::vector<double>& t_values) {
-  const obs::ScopedTimer sweep_timer("core/tags_t_sweep");
+  const obs::Span span("core/tags_t_sweep");
   std::vector<models::Metrics> out(t_values.size());
   ctmc::WarmStartState warm;
   eval_t_chain<models::TagsModel>(base, t_values, {0, t_values.size()}, out, warm);
@@ -112,7 +112,7 @@ std::vector<models::Metrics> tags_t_sweep(const models::TagsParams& base,
 
 std::vector<models::Metrics> tags_h2_t_sweep(const models::TagsH2Params& base,
                                              const std::vector<double>& t_values) {
-  const obs::ScopedTimer sweep_timer("core/tags_h2_t_sweep");
+  const obs::Span span("core/tags_h2_t_sweep");
   std::vector<models::Metrics> out(t_values.size());
   ctmc::WarmStartState warm;
   eval_t_chain<models::TagsH2Model>(base, t_values, {0, t_values.size()}, out, warm);
@@ -122,7 +122,7 @@ std::vector<models::Metrics> tags_h2_t_sweep(const models::TagsH2Params& base,
 std::vector<models::Metrics> tags_t_sweep(const models::TagsParams& base,
                                           const std::vector<double>& t_values,
                                           const SweepPlan& plan, SweepStats* stats) {
-  const obs::ScopedTimer sweep_timer("core/tags_t_sweep");
+  const obs::Span span("core/tags_t_sweep");
   return model_t_sweep<models::TagsModel>(base, t_values, plan, stats);
 }
 
@@ -130,7 +130,7 @@ std::vector<models::Metrics> tags_h2_t_sweep(const models::TagsH2Params& base,
                                              const std::vector<double>& t_values,
                                              const SweepPlan& plan,
                                              SweepStats* stats) {
-  const obs::ScopedTimer sweep_timer("core/tags_h2_t_sweep");
+  const obs::Span span("core/tags_h2_t_sweep");
   return model_t_sweep<models::TagsH2Model>(base, t_values, plan, stats);
 }
 
@@ -196,7 +196,7 @@ std::vector<models::Metrics> tags_t_sweep(const models::TagsParams& base,
                                           const SweepPlan& plan, SweepStats* stats,
                                           store::SolveStore* store) {
   if (store == nullptr) return tags_t_sweep(base, t_values, plan, stats);
-  const obs::ScopedTimer sweep_timer("core/tags_t_sweep");
+  const obs::Span span("core/tags_t_sweep");
   store::SweepJournal journal(*store, "tags_t_sweep",
                               sweep_digest(base, t_values, plan));
   const auto binding = make_metrics_binding(journal);
@@ -208,7 +208,7 @@ std::vector<models::Metrics> tags_h2_t_sweep(const models::TagsH2Params& base,
                                              const SweepPlan& plan, SweepStats* stats,
                                              store::SolveStore* store) {
   if (store == nullptr) return tags_h2_t_sweep(base, t_values, plan, stats);
-  const obs::ScopedTimer sweep_timer("core/tags_h2_t_sweep");
+  const obs::Span span("core/tags_h2_t_sweep");
   store::SweepJournal journal(*store, "tags_h2_t_sweep",
                               sweep_digest(base, t_values, plan));
   const auto binding = make_metrics_binding(journal);

@@ -161,7 +161,6 @@ template <class R, class ShardEval>
   std::vector<ctmc::WarmStartState> warm(shards.size());
   std::vector<unsigned char> resumed(shards.size(), 0);
 
-  const obs::ScopedTimer timer("core/sharded_sweep");
   obs::Span sweep_span("core/sharded_sweep");
   sweep_span.attr("points", static_cast<double>(n_points));
   sweep_span.attr("shards", static_cast<double>(shards.size()));

@@ -43,7 +43,6 @@ class RewardAccumulator {
 }  // namespace
 
 void GeneratorCtmc::assemble(const GeneratorModel& model) {
-  const obs::ScopedTimer timer("ctmc/generator_assemble");
   obs::Span span("ctmc/assemble");
   span.attr("n", static_cast<double>(model.state_space_size()));
   const index_t n = model.state_space_size();
@@ -111,7 +110,6 @@ void GeneratorCtmc::assemble(const GeneratorModel& model) {
 }
 
 void GeneratorCtmc::rebind(const GeneratorModel& model) {
-  const obs::ScopedTimer timer("ctmc/generator_rebind");
   obs::Span span("ctmc/rebind");
   span.attr("n", static_cast<double>(n_));
   if (model.state_space_size() != n_ ||

@@ -14,7 +14,6 @@ using linalg::index_t;
 using linalg::Vec;
 
 QbdStructure detect_qbd(const CsrMatrix& q, const QbdOptions& opts) {
-  const obs::ScopedTimer timer("ctmc/qbd_detect");
   obs::Span span("qbd/detect");
   span.attr("n", static_cast<double>(q.rows()));
   QbdStructure s;
@@ -55,7 +54,6 @@ struct Trip {
 }  // namespace
 
 bool qbd_steady_state(const CsrMatrix& q, const QbdStructure& s, Vec& pi_out) {
-  const obs::ScopedTimer timer("ctmc/qbd_solve");
   if (!s.block_tridiagonal) return false;
   const linalg::LevelDecomposition& L = s.levels;
   const index_t n = q.rows();
@@ -241,7 +239,6 @@ std::vector<unsigned char> qbd_steady_state_batch(const QbdStructure& s,
   const std::size_t w = vals.width();
   std::vector<unsigned char> ok(w, 0);
   if (!plan.ok || !s.block_tridiagonal || w == 0) return ok;
-  const obs::ScopedTimer timer("ctmc/qbd_solve_batch");
   const linalg::LevelDecomposition& L = s.levels;
   const index_t n = vals.pattern().rows();
   const std::size_t nlev = L.levels();

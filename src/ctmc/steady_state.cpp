@@ -154,7 +154,6 @@ void close_attempt_span(obs::Span& span, const SteadyStateResult& res) {
 }
 
 SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("dense-lu");
   obs::Span span("solve/dense-lu");
   span.attr("n", static_cast<double>(sys.n()));
   SteadyStateResult res;
@@ -311,7 +310,6 @@ class InflowRows {
 };
 
 SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("gauss-seidel");
   obs::Span span("solve/gauss-seidel");
   span.attr("n", static_cast<double>(sys.n()));
   SteadyStateResult res;
@@ -329,8 +327,13 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
   Vec scratch(n);
   // A sweep is linear and homogeneous in pi, so pi's scale may drift
   // between residual checks: it is renormalised at each check, and every
-  // way out of the loop passes through one (or starts from the
-  // normalised initial vector).
+  // way out of the loop passes through one, which leaves res.residual and
+  // res.converged describing the pi returned. With no iterations allowed,
+  // the normalised initial vector is checked instead.
+  if (opts.max_iter <= 0) {
+    res.residual = rows.residual(pi, scratch);
+    res.converged = res.residual <= tol;
+  }
   for (res.iterations = 0; res.iterations < opts.max_iter; ++res.iterations) {
     rows.sweep(pi, backward);
     if ((res.iterations & 15) == 15 || res.iterations + 1 == opts.max_iter) {
@@ -344,8 +347,6 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
       }
     }
   }
-  res.residual = rows.residual(pi, scratch);
-  res.converged = res.residual <= tol;
   res.pi = std::move(pi);
   certify_result(res, qt, sys, opts);
   note_attempt(res);
@@ -354,7 +355,6 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
 }
 
 SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("power");
   obs::Span span("solve/power");
   span.attr("n", static_cast<double>(sys.n()));
   SteadyStateResult res;
@@ -379,6 +379,12 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
   Vec pi = initial_vector(sys, opts);
   Vec next(n);
   Vec scratch(n);
+  // Every way out of the loop passes through a residual check on the pi
+  // returned; with no iterations allowed, the initial vector is checked.
+  if (opts.max_iter <= 0) {
+    res.residual = balance_residual(qt, pi, scratch);
+    res.converged = res.residual <= tol;
+  }
   for (res.iterations = 0; res.iterations < opts.max_iter; ++res.iterations) {
     pt.multiply(pi, next);
     linalg::normalize_l1(next);
@@ -393,8 +399,6 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
       }
     }
   }
-  res.residual = balance_residual(qt, pi, scratch);
-  res.converged = res.residual <= tol;
   res.pi = std::move(pi);
   certify_result(res, qt, sys, opts);
   note_attempt(res);
@@ -409,7 +413,6 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
 /// infinite residual — the kAuto chain treats it like any divergence.
 SteadyStateResult solve_level_qbd(const System& sys, const SteadyStateOptions& opts,
                                   const QbdStructure& structure) {
-  const obs::ScopedTimer timer("level-qbd");
   obs::Span span("solve/level-qbd");
   span.attr("n", static_cast<double>(sys.n()));
   span.attr("max_block", static_cast<double>(structure.max_block));
@@ -438,7 +441,6 @@ SteadyStateResult solve_level_qbd(const System& sys, const SteadyStateOptions& o
 /// residual, and the certificate still decides acceptance in kAuto.
 SteadyStateResult solve_ncd_ad(const System& sys, const SteadyStateOptions& opts,
                                const linalg::NcdPartition& part) {
-  const obs::ScopedTimer timer("ncd-ad");
   obs::Span span("solve/ncd-ad");
   span.attr("n", static_cast<double>(sys.n()));
   span.attr("blocks", static_cast<double>(part.n_blocks()));
@@ -662,7 +664,6 @@ SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOpti
   obs::Span root_span("ctmc/steady_state");
   root_span.attr("n", static_cast<double>(q.rows()));
   root_span.attr("method", to_string(opts.method));
-  const obs::ScopedTimer timer("ctmc/steady_state");
   const std::uint64_t start_ns = obs::now_ns();
   if (opts.initial_guess) {
     obs::count(opts.initial_guess->size() == static_cast<std::size_t>(q.rows())

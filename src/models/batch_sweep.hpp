@@ -16,7 +16,6 @@
 
 #include "ctmc/steady_state.hpp"
 #include "linalg/batch.hpp"
-#include "obs/obs.hpp"
 
 namespace tags::models {
 
@@ -35,7 +34,6 @@ void batched_t_chain(const Params& base, const std::vector<double>& t_values,
   const auto bind = [&](std::size_t i) {
     Params p = base;
     p.t = t_values[i];
-    const obs::ScopedTimer build_timer("build");
     if (model) {
       // Only t moves within the sweep: the sparsity pattern is frozen, so
       // every point after the first is a rate rebind, not a rebuild.
@@ -48,10 +46,7 @@ void batched_t_chain(const Params& base, const std::vector<double>& t_values,
     for (std::size_t i = begin; i < end; ++i) {
       bind(i);
       warm.reconcile(model->n_states());
-      const auto solved = [&] {
-        const obs::ScopedTimer solve_timer("solve");
-        return model->solve(warm.opts);
-      }();
+      const auto solved = model->solve(warm.opts);
       warm.accept(solved);
       per_point(i, solved, *model);
     }
@@ -74,10 +69,8 @@ void batched_t_chain(const Params& base, const std::vector<double>& t_values,
         opts.initial_guess->size() != static_cast<std::size_t>(model->n_states())) {
       opts.initial_guess.reset();
     }
-    const std::vector<ctmc::SteadyStateResult> solved = [&] {
-      const obs::ScopedTimer solve_timer("solve");
-      return ctmc::steady_state_batch(*vals, opts);
-    }();
+    const std::vector<ctmc::SteadyStateResult> solved =
+        ctmc::steady_state_batch(*vals, opts);
     for (std::size_t b = 0; b < bw; ++b) {
       warm.reconcile(model->n_states());
       warm.accept(solved[b]);

@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/numio.hpp"
 #include "obs/span.hpp"
-#include "obs/timer.hpp"
 
 namespace tags::obs {
 
@@ -168,23 +167,23 @@ std::string prometheus_text() {
     os << name << "_count " << h.count << '\n';
   }
 
-  // Timer paths as labelled families: one series per path. Seconds, per
-  // Prometheus convention.
-  const auto timers = timer_stats();
+  // Per-span-name timers as labelled families: one series per name.
+  // Seconds, per Prometheus convention.
+  const auto timers = span_stats();
   if (!timers.empty()) {
     os << "# TYPE tags_timer_seconds_total counter\n";
-    for (const auto& [path, stat] : timers) {
-      os << "tags_timer_seconds_total{path=\"" << prom_label_value(path) << "\"} "
+    for (const auto& [name, stat] : timers) {
+      os << "tags_timer_seconds_total{path=\"" << prom_label_value(name) << "\"} "
          << static_cast<double>(stat.total_ns) / 1e9 << '\n';
     }
     os << "# TYPE tags_timer_self_seconds_total counter\n";
-    for (const auto& [path, stat] : timers) {
-      os << "tags_timer_self_seconds_total{path=\"" << prom_label_value(path)
+    for (const auto& [name, stat] : timers) {
+      os << "tags_timer_self_seconds_total{path=\"" << prom_label_value(name)
          << "\"} " << static_cast<double>(stat.self_ns) / 1e9 << '\n';
     }
     os << "# TYPE tags_timer_count_total counter\n";
-    for (const auto& [path, stat] : timers) {
-      os << "tags_timer_count_total{path=\"" << prom_label_value(path) << "\"} "
+    for (const auto& [name, stat] : timers) {
+      os << "tags_timer_count_total{path=\"" << prom_label_value(name) << "\"} "
          << stat.count << '\n';
     }
   }

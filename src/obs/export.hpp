@@ -4,9 +4,9 @@
 //    events, loadable in chrome://tracing or Perfetto for a flamegraph of a
 //    run (one track per instrumented thread, span attributes in args).
 //  * Prometheus text exposition (version 0.0.4) — counters, gauges,
-//    histograms (cumulative le-labelled buckets), and timer paths, for
-//    scraping by the upcoming tags_server /stats endpoint or node textfile
-//    collectors.
+//    histograms (cumulative le-labelled buckets), and the per-span-name
+//    timers, for scraping by a tags_server /stats endpoint or node
+//    textfile collectors.
 //
 // Both are always linkable: with TAGS_ENABLE_OBS=OFF (or level 0) they emit
 // empty-but-valid documents, mirroring write_telemetry_json.
@@ -22,7 +22,7 @@ namespace tags::obs {
 
 /// All counters/gauges/histograms/timers in Prometheus text exposition.
 /// Metric names are sanitised ([^a-zA-Z0-9_:] -> '_') and prefixed "tags_";
-/// timer paths become labels on tags_timer_* families.
+/// span names become `path` labels on the tags_timer_* families.
 [[nodiscard]] std::string prometheus_text();
 
 /// Write chrome_trace_json / prometheus_text to `path`, creating parent

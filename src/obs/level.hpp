@@ -2,7 +2,8 @@
 // variable and adjustable at runtime (tests, CLI flags).
 //
 //   0  off      — instrumentation short-circuits to nothing
-//   1  metrics  — counters/gauges/histograms/timers + solve log (default)
+//   1  metrics  — counters/gauges/histograms, spans (records and per-name
+//                timers) + solve log (default)
 //   2  trace    — additionally forward events to the installed TraceSink
 //   3  debug    — like trace, with sampling forced to every event
 //
@@ -47,7 +48,7 @@ inline void set_level(Level l) noexcept {
   detail::level_storage().store(static_cast<int>(l), std::memory_order_relaxed);
 }
 
-/// True when counters/timers should record (level >= metrics).
+/// True when counters and spans should record (level >= metrics).
 [[nodiscard]] inline bool metrics_on() noexcept {
   return detail::level_storage().load(std::memory_order_relaxed) >=
          static_cast<int>(Level::kMetrics);

@@ -1,15 +1,49 @@
 #include "obs/metrics.hpp"
 
-#include <sstream>
+#include <algorithm>
+#include <string_view>
 
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/span.hpp"
-#include "obs/timer.hpp"
+
+namespace tags::obs {
+
+namespace {
+
+/// Percentile p in [0, 100] of a bucketed distribution (`counts` has one
+/// entry per upper bound plus the overflow bucket): linear interpolation
+/// within the containing bucket; the first bucket is anchored at 0 and the
+/// overflow bucket reports its lower edge.
+double bucket_percentile(const std::vector<double>& bounds,
+                         const std::vector<std::uint64_t>& counts, double p) {
+  const std::size_t n_buckets = bounds.size() + 1;
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : counts) total += c;
+  if (total == 0) return 0.0;
+  const double target = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total);
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i < n_buckets; ++i) {
+    const double next = cumulative + static_cast<double>(counts[i]);
+    if (next >= target || i + 1 == n_buckets) {
+      if (i == bounds.size()) return bounds.empty() ? 0.0 : bounds.back();
+      const double lower = i == 0 ? std::min(0.0, bounds[0]) : bounds[i - 1];
+      const double upper = bounds[i];
+      const double frac =
+          counts[i] == 0 ? 1.0 : (target - cumulative) / static_cast<double>(counts[i]);
+      return lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
+    }
+    cumulative = next;
+  }
+  return bounds.back();
+}
+
+}  // namespace
+
+}  // namespace tags::obs
 
 #if TAGS_OBS_ENABLED
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -218,38 +252,13 @@ double Histogram::sum() const {
   return Registry::get().hists[id_]->sum.load(std::memory_order_relaxed);
 }
 
-namespace {
-
-double hist_percentile(const HistInfo& h, double p) {
-  const std::size_t n_buckets = h.bounds.size() + 1;
-  std::vector<std::uint64_t> counts(n_buckets);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n_buckets; ++i) {
-    counts[i] = h.buckets[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  if (total == 0) return 0.0;
-  const double target = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < n_buckets; ++i) {
-    const double next = cumulative + static_cast<double>(counts[i]);
-    if (next >= target || i + 1 == n_buckets) {
-      if (i == h.bounds.size()) return h.bounds.empty() ? 0.0 : h.bounds.back();
-      const double lower = i == 0 ? std::min(0.0, h.bounds[0]) : h.bounds[i - 1];
-      const double upper = h.bounds[i];
-      const double frac =
-          counts[i] == 0 ? 1.0 : (target - cumulative) / static_cast<double>(counts[i]);
-      return lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  return h.bounds.back();
-}
-
-}  // namespace
-
 double Histogram::percentile(double p) const {
-  return hist_percentile(*Registry::get().hists[id_], p);
+  const HistInfo& h = *Registry::get().hists[id_];
+  std::vector<std::uint64_t> counts(h.bounds.size() + 1);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = h.buckets[i].load(std::memory_order_relaxed);
+  }
+  return bucket_percentile(h.bounds, counts, p);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,6 +299,12 @@ std::vector<SolveRecord> solve_records() {
   Registry& r = Registry::get();
   const std::lock_guard<std::mutex> lock(r.mu);
   return r.solves;
+}
+
+std::uint64_t solves_dropped() {
+  Registry& r = Registry::get();
+  const std::lock_guard<std::mutex> lock(r.mu);
+  return r.solves_dropped;
 }
 
 std::vector<CounterSnapshot> counter_snapshots() {
@@ -341,21 +356,102 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
-// ---------------------------------------------------------------------------
-// Export
-// ---------------------------------------------------------------------------
+void reset_metrics() {
+  Registry& r = Registry::get();
+  const std::lock_guard<std::mutex> lock(r.mu);
+  for (auto& c : r.counters) c->overflow.store(0, std::memory_order_relaxed);
+  for (auto& slab : r.slabs) {
+    for (auto& s : slab->slot) s.store(0, std::memory_order_relaxed);
+  }
+  for (auto& g : r.gauges) g->value.store(0.0, std::memory_order_relaxed);
+  for (auto& h : r.hists) {
+    for (std::size_t i = 0; i <= h->bounds.size(); ++i) {
+      h->buckets[i].store(0, std::memory_order_relaxed);
+    }
+    h->n.store(0, std::memory_order_relaxed);
+    h->sum.store(0.0, std::memory_order_relaxed);
+  }
+  r.solves.clear();
+  r.solves_dropped = 0;
+  detail::reset_spans();
+}
+
+}  // namespace tags::obs
+
+#endif  // TAGS_OBS_ENABLED
+
+namespace tags::obs {
+
+namespace {
+
+enum class Kind { kCounter, kGauge };
+
+/// One field of the fixed telemetry sections (schema v3 "server", v4
+/// "store", v5 "ncd"): a registry metric under a stable field name, so the
+/// smoke harnesses and dashboards need not know the registry naming
+/// scheme. A metric nothing registered in this process reads as zero.
+/// Fields of one section are contiguous, in output order.
+struct SectionField {
+  const char* section;
+  const char* field;
+  const char* metric;
+  Kind kind;
+};
+
+constexpr SectionField kSectionFields[] = {
+    {"server", "requests", "serve.requests", Kind::kCounter},
+    {"server", "cache_hit", "serve.cache_hit", Kind::kCounter},
+    {"server", "cache_miss", "serve.cache_miss", Kind::kCounter},
+    {"server", "cache_evicted", "serve.cache_evicted", Kind::kCounter},
+    {"server", "jobs_shed", "serve.jobs_shed", Kind::kCounter},
+    {"server", "deadline_missed", "serve.deadline_missed", Kind::kCounter},
+    {"server", "queue_depth", "serve.queue.depth", Kind::kGauge},
+    {"server", "cache_size", "serve.cache.size", Kind::kGauge},
+    {"store", "records_appended", "store.records_appended", Kind::kCounter},
+    {"store", "commits", "store.commits", Kind::kCounter},
+    {"store", "records_dropped", "store.records_dropped", Kind::kCounter},
+    {"store", "records_recovered", "store.records_recovered", Kind::kCounter},
+    {"store", "decode_failures", "store.decode_failures", Kind::kCounter},
+    {"store", "lookups", "store.lookups", Kind::kCounter},
+    {"store", "lookup_hits", "store.lookup_hits", Kind::kCounter},
+    {"store", "shards_journaled", "store.shards_journaled", Kind::kCounter},
+    {"store", "shards_resumed", "store.shards_resumed", Kind::kCounter},
+    {"store", "cache_loaded", "store.cache_loaded", Kind::kCounter},
+    {"store", "records", "store.records", Kind::kGauge},
+    {"store", "bytes", "store.bytes", Kind::kGauge},
+    {"ncd", "partitions_built", "ncd.partitions_built", Kind::kCounter},
+    {"ncd", "cache_hits", "ncd.cache.hits", Kind::kCounter},
+    {"ncd", "cache_invalidated", "ncd.cache.invalidated", Kind::kCounter},
+    {"ncd", "gate_accepts", "ncd.gate.accepts", Kind::kCounter},
+    {"ncd", "gate_rejects", "ncd.gate.rejects", Kind::kCounter},
+    {"ncd", "solves", "ncd.solves", Kind::kCounter},
+    {"ncd", "fallthroughs", "ncd.fallthroughs", Kind::kCounter},
+    {"ncd", "sweeps", "ncd.sweeps", Kind::kCounter},
+};
+
+template <class Snapshot>
+auto value_of(const std::vector<Snapshot>& snaps, std::string_view name) {
+  for (const Snapshot& s : snaps) {
+    if (s.name == name) return s.value;
+  }
+  return decltype(Snapshot::value){};
+}
+
+}  // namespace
 
 std::string metrics_json(const std::string& id) {
   JsonWriter w;
   w.begin_object();
   w.field("id", id);
   w.field("schema_version", static_cast<std::int64_t>(5));
-  w.field("obs_level", static_cast<std::int64_t>(level()));
+  // -1 marks a build with the layer compiled out.
+  w.field("obs_level",
+          TAGS_OBS_ENABLED ? static_cast<std::int64_t>(level()) : std::int64_t{-1});
 
   w.key("timers");
   w.begin_object();
-  for (const auto& [path, stat] : timer_stats()) {
-    w.key(path);
+  for (const auto& [name, stat] : span_stats()) {
+    w.key(name);
     w.begin_object();
     w.field("count", static_cast<std::int64_t>(stat.count));
     w.field("total_ms", static_cast<double>(stat.total_ns) / 1e6);
@@ -394,44 +490,37 @@ std::string metrics_json(const std::string& id) {
   w.end_array();
   w.field("spans_dropped", static_cast<std::int64_t>(spans_dropped()));
 
-  Registry& r = Registry::get();
-  const std::lock_guard<std::mutex> lock(r.mu);
-
+  const std::vector<CounterSnapshot> counters = counter_snapshots();
   w.key("counters");
   w.begin_object();
-  for (std::size_t i = 0; i < r.counters.size(); ++i) {
-    w.field(r.counters[i]->name, static_cast<std::int64_t>(counter_total(r, i)));
+  for (const CounterSnapshot& c : counters) {
+    w.field(c.name, static_cast<std::int64_t>(c.value));
   }
   w.end_object();
 
+  const std::vector<GaugeSnapshot> gauges = gauge_snapshots();
   w.key("gauges");
   w.begin_object();
-  for (const auto& g : r.gauges) {
-    w.field(g->name, g->value.load(std::memory_order_relaxed));
-  }
+  for (const GaugeSnapshot& g : gauges) w.field(g.name, g.value);
   w.end_object();
 
   w.key("histograms");
   w.begin_object();
-  for (const auto& h : r.hists) {
-    w.key(h->name);
+  for (const HistogramSnapshot& h : histogram_snapshots()) {
+    w.key(h.name);
     w.begin_object();
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i <= h->bounds.size(); ++i) {
-      total += h->buckets[i].load(std::memory_order_relaxed);
-    }
-    w.field("count", static_cast<std::int64_t>(total));
-    w.field("sum", h->sum.load(std::memory_order_relaxed));
-    w.field("p50", hist_percentile(*h, 50.0));
-    w.field("p90", hist_percentile(*h, 90.0));
-    w.field("p99", hist_percentile(*h, 99.0));
+    w.field("count", static_cast<std::int64_t>(h.count));
+    w.field("sum", h.sum);
+    w.field("p50", bucket_percentile(h.bounds, h.buckets, 50.0));
+    w.field("p90", bucket_percentile(h.bounds, h.buckets, 90.0));
+    w.field("p99", bucket_percentile(h.bounds, h.buckets, 99.0));
     w.end_object();
   }
   w.end_object();
 
   w.key("solves");
   w.begin_array();
-  for (const SolveRecord& s : r.solves) {
+  for (const SolveRecord& s : solve_records()) {
     w.begin_object();
     w.field("context", s.context);
     w.field("method", s.method);
@@ -449,199 +538,27 @@ std::string metrics_json(const std::string& id) {
     w.end_object();
   }
   w.end_array();
-  w.field("solves_dropped", static_cast<std::int64_t>(r.solves_dropped));
+  w.field("solves_dropped", static_cast<std::int64_t>(solves_dropped()));
 
-  // Schema v3: the analysis-server section — the serve.* counters and
-  // gauges under stable field names, so the smoke harness and dashboards
-  // need not know the registry naming scheme. All-zero when no server ran
-  // in this process.
-  const auto counter_by_name = [&r](const char* name) -> std::int64_t {
-    for (std::size_t i = 0; i < r.counters.size(); ++i) {
-      if (r.counters[i]->name == name) {
-        return static_cast<std::int64_t>(counter_total(r, i));
-      }
+  std::string_view open;
+  for (const SectionField& f : kSectionFields) {
+    if (f.section != open) {
+      if (!open.empty()) w.end_object();
+      open = f.section;
+      w.key(f.section);
+      w.begin_object();
     }
-    return 0;
-  };
-  const auto gauge_by_name = [&r](const char* name) -> double {
-    for (const auto& g : r.gauges) {
-      if (g->name == name) return g->value.load(std::memory_order_relaxed);
+    if (f.kind == Kind::kCounter) {
+      w.field(f.field, static_cast<std::int64_t>(value_of(counters, f.metric)));
+    } else {
+      w.field(f.field, value_of(gauges, f.metric));
     }
-    return 0.0;
-  };
-  w.key("server");
-  w.begin_object();
-  w.field("requests", counter_by_name("serve.requests"));
-  w.field("cache_hit", counter_by_name("serve.cache_hit"));
-  w.field("cache_miss", counter_by_name("serve.cache_miss"));
-  w.field("cache_evicted", counter_by_name("serve.cache_evicted"));
-  w.field("jobs_shed", counter_by_name("serve.jobs_shed"));
-  w.field("deadline_missed", counter_by_name("serve.deadline_missed"));
-  w.field("queue_depth", gauge_by_name("serve.queue.depth"));
-  w.field("cache_size", gauge_by_name("serve.cache.size"));
-  w.end_object();
-
-  // Schema v4: the durable-store section — the store.* counters and gauges
-  // under stable field names (all-zero when no store was opened).
-  w.key("store");
-  w.begin_object();
-  w.field("records_appended", counter_by_name("store.records_appended"));
-  w.field("commits", counter_by_name("store.commits"));
-  w.field("records_dropped", counter_by_name("store.records_dropped"));
-  w.field("records_recovered", counter_by_name("store.records_recovered"));
-  w.field("decode_failures", counter_by_name("store.decode_failures"));
-  w.field("lookups", counter_by_name("store.lookups"));
-  w.field("lookup_hits", counter_by_name("store.lookup_hits"));
-  w.field("shards_journaled", counter_by_name("store.shards_journaled"));
-  w.field("shards_resumed", counter_by_name("store.shards_resumed"));
-  w.field("cache_loaded", counter_by_name("store.cache_loaded"));
-  w.field("records", gauge_by_name("store.records"));
-  w.field("bytes", gauge_by_name("store.bytes"));
-  w.end_object();
-
-  // Schema v5: the NCD aggregation-disaggregation section — the ncd.*
-  // counters under stable field names (all-zero when no solve crossed the
-  // detection threshold in this process).
-  w.key("ncd");
-  w.begin_object();
-  w.field("partitions_built", counter_by_name("ncd.partitions_built"));
-  w.field("cache_hits", counter_by_name("ncd.cache.hits"));
-  w.field("cache_invalidated", counter_by_name("ncd.cache.invalidated"));
-  w.field("gate_accepts", counter_by_name("ncd.gate.accepts"));
-  w.field("gate_rejects", counter_by_name("ncd.gate.rejects"));
-  w.field("solves", counter_by_name("ncd.solves"));
-  w.field("fallthroughs", counter_by_name("ncd.fallthroughs"));
-  w.field("sweeps", counter_by_name("ncd.sweeps"));
+  }
   w.end_object();
 
   w.end_object();
   return std::move(w).str();
 }
-
-std::string metrics_text() {
-  std::ostringstream os;
-  os << "timers (count, total ms, self ms):\n";
-  for (const auto& [path, stat] : timer_stats()) {
-    // Indent by nesting depth so the tree structure is visible.
-    const auto depth = static_cast<std::size_t>(
-        std::count(path.begin(), path.end(), '/'));
-    os << std::string(2 + 2 * depth, ' ')
-       << path.substr(path.find_last_of('/') + (path.find('/') == std::string::npos
-                                                    ? 0
-                                                    : 1))
-       << "  x" << stat.count << "  " << static_cast<double>(stat.total_ns) / 1e6
-       << "  " << static_cast<double>(stat.self_ns) / 1e6 << "\n";
-  }
-  Registry& r = Registry::get();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  os << "counters:\n";
-  for (std::size_t i = 0; i < r.counters.size(); ++i) {
-    const std::uint64_t v = counter_total(r, i);
-    if (v != 0) os << "  " << r.counters[i]->name << " = " << v << "\n";
-  }
-  os << "gauges:\n";
-  for (const auto& g : r.gauges) {
-    os << "  " << g->name << " = " << g->value.load(std::memory_order_relaxed) << "\n";
-  }
-  os << "solve records: " << r.solves.size() << "\n";
-  return os.str();
-}
-
-void reset_metrics() {
-  Registry& r = Registry::get();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& c : r.counters) c->overflow.store(0, std::memory_order_relaxed);
-  for (auto& slab : r.slabs) {
-    for (auto& s : slab->slot) s.store(0, std::memory_order_relaxed);
-  }
-  for (auto& g : r.gauges) g->value.store(0.0, std::memory_order_relaxed);
-  for (auto& h : r.hists) {
-    for (std::size_t i = 0; i <= h->bounds.size(); ++i) {
-      h->buckets[i].store(0, std::memory_order_relaxed);
-    }
-    h->n.store(0, std::memory_order_relaxed);
-    h->sum.store(0.0, std::memory_order_relaxed);
-  }
-  r.solves.clear();
-  r.solves_dropped = 0;
-  detail::reset_timer_stats();
-  detail::reset_spans();
-}
-
-}  // namespace tags::obs
-
-#endif  // TAGS_OBS_ENABLED
-
-namespace tags::obs {
-
-#if !TAGS_OBS_ENABLED
-std::string metrics_json(const std::string& id) {
-  JsonWriter w;
-  w.begin_object();
-  w.field("id", id);
-  w.field("schema_version", static_cast<std::int64_t>(5));
-  w.field("obs_level", static_cast<std::int64_t>(-1));
-  w.key("timers");
-  w.begin_object();
-  w.end_object();
-  w.key("spans");
-  w.begin_array();
-  w.end_array();
-  w.field("spans_dropped", static_cast<std::int64_t>(0));
-  w.key("counters");
-  w.begin_object();
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  w.end_object();
-  w.key("solves");
-  w.begin_array();
-  w.end_array();
-  w.field("solves_dropped", static_cast<std::int64_t>(0));
-  w.key("server");
-  w.begin_object();
-  w.field("requests", static_cast<std::int64_t>(0));
-  w.field("cache_hit", static_cast<std::int64_t>(0));
-  w.field("cache_miss", static_cast<std::int64_t>(0));
-  w.field("cache_evicted", static_cast<std::int64_t>(0));
-  w.field("jobs_shed", static_cast<std::int64_t>(0));
-  w.field("deadline_missed", static_cast<std::int64_t>(0));
-  w.field("queue_depth", 0.0);
-  w.field("cache_size", 0.0);
-  w.end_object();
-  w.key("store");
-  w.begin_object();
-  w.field("records_appended", static_cast<std::int64_t>(0));
-  w.field("commits", static_cast<std::int64_t>(0));
-  w.field("records_dropped", static_cast<std::int64_t>(0));
-  w.field("records_recovered", static_cast<std::int64_t>(0));
-  w.field("decode_failures", static_cast<std::int64_t>(0));
-  w.field("lookups", static_cast<std::int64_t>(0));
-  w.field("lookup_hits", static_cast<std::int64_t>(0));
-  w.field("shards_journaled", static_cast<std::int64_t>(0));
-  w.field("shards_resumed", static_cast<std::int64_t>(0));
-  w.field("cache_loaded", static_cast<std::int64_t>(0));
-  w.field("records", 0.0);
-  w.field("bytes", 0.0);
-  w.end_object();
-  w.key("ncd");
-  w.begin_object();
-  w.field("partitions_built", static_cast<std::int64_t>(0));
-  w.field("cache_hits", static_cast<std::int64_t>(0));
-  w.field("cache_invalidated", static_cast<std::int64_t>(0));
-  w.field("gate_accepts", static_cast<std::int64_t>(0));
-  w.field("gate_rejects", static_cast<std::int64_t>(0));
-  w.field("solves", static_cast<std::int64_t>(0));
-  w.field("fallthroughs", static_cast<std::int64_t>(0));
-  w.field("sweeps", static_cast<std::int64_t>(0));
-  w.end_object();
-  w.end_object();
-  return std::move(w).str();
-}
-#endif  // !TAGS_OBS_ENABLED
 
 bool write_telemetry_json(const std::string& path, const std::string& id) {
   // Temp-then-rename so a crash mid-export (or a concurrent reader) never

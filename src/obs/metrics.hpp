@@ -5,8 +5,10 @@
 // different translation units aggregate together.
 //
 // Everything is safe to call from concurrent threads, including the OpenMP
-// sweep workers. Aggregated reads (value(), metrics_json(), ...) take a
-// registry mutex; the write paths never do.
+// sweep workers. Aggregated reads (value(), the snapshots, ...) take a
+// registry mutex; the write paths never do. Timings are not kept here: they
+// are spans (obs/span.hpp), and metrics_json() assembles the telemetry
+// document from the registry snapshots and the span layer's views.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,23 @@ struct SolveRecord {
   /// kAuto fallback chain, e.g. "level-qbd[gate:level-too-wide],gauss-seidel"
   std::string attempts;
   std::string note;      ///< free-form, e.g. "zero-diagonal" on a bailout
+};
+
+/// Registry snapshot entries (see counter_snapshots() and friends).
+struct CounterSnapshot {
+  std::string name;
+  std::uint64_t value = 0;
+};
+struct GaugeSnapshot {
+  std::string name;
+  double value = 0.0;
+};
+struct HistogramSnapshot {
+  std::string name;
+  std::vector<double> bounds;          ///< sorted upper bounds
+  std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 (overflow last)
+  std::uint64_t count = 0;
+  double sum = 0.0;
 };
 
 #if TAGS_OBS_ENABLED
@@ -95,38 +114,18 @@ void observe(const char* name, double v);
 /// Appends to the bounded in-process solve log (no-op below level metrics).
 void record_solve(SolveRecord rec);
 [[nodiscard]] std::vector<SolveRecord> solve_records();
+/// Solve records discarded because the log was full.
+[[nodiscard]] std::uint64_t solves_dropped();
 
 /// Monotonic nanoseconds, for wall-time deltas.
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
-// Read-only registry snapshots, for exporters (Prometheus text, the server
-// /stats endpoint). Each call takes the registry mutex once.
-struct CounterSnapshot {
-  std::string name;
-  std::uint64_t value = 0;
-};
-struct GaugeSnapshot {
-  std::string name;
-  double value = 0.0;
-};
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;          ///< sorted upper bounds
-  std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 (overflow last)
-  std::uint64_t count = 0;
-  double sum = 0.0;
-};
+// Read-only registry snapshots, for exporters (telemetry JSON, Prometheus
+// text, the server /stats endpoint). Each call takes the registry mutex
+// once.
 [[nodiscard]] std::vector<CounterSnapshot> counter_snapshots();
 [[nodiscard]] std::vector<GaugeSnapshot> gauge_snapshots();
 [[nodiscard]] std::vector<HistogramSnapshot> histogram_snapshots();
-
-/// Whole-registry JSON snapshot (counters, gauges, histograms, timers,
-/// spans, solve log) — the object written by write_telemetry_json.
-/// Schema v2: tools/check_bench_json.py.
-[[nodiscard]] std::string metrics_json(const std::string& id);
-
-/// Human-readable summary: timer tree plus non-zero metrics.
-[[nodiscard]] std::string metrics_text();
 
 /// Zero all values and drop the solve log; registered names survive.
 void reset_metrics();
@@ -168,33 +167,25 @@ inline void gauge_set(const char*, double) {}
 inline void observe(const char*, double) {}
 inline void record_solve(SolveRecord) {}
 [[nodiscard]] inline std::vector<SolveRecord> solve_records() { return {}; }
+[[nodiscard]] inline std::uint64_t solves_dropped() { return 0; }
 [[nodiscard]] inline std::uint64_t now_ns() noexcept { return 0; }
 
-struct CounterSnapshot {
-  std::string name;
-  std::uint64_t value = 0;
-};
-struct GaugeSnapshot {
-  std::string name;
-  double value = 0.0;
-};
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-};
 [[nodiscard]] inline std::vector<CounterSnapshot> counter_snapshots() { return {}; }
 [[nodiscard]] inline std::vector<GaugeSnapshot> gauge_snapshots() { return {}; }
 [[nodiscard]] inline std::vector<HistogramSnapshot> histogram_snapshots() {
   return {};
 }
-[[nodiscard]] std::string metrics_json(const std::string& id);  // minimal, in obs.cpp
-[[nodiscard]] inline std::string metrics_text() { return "observability disabled\n"; }
 inline void reset_metrics() {}
 
 #endif  // TAGS_OBS_ENABLED
+
+/// Whole-registry JSON snapshot (per-span-name timers, spans, counters,
+/// gauges, histograms, solve log, and the server/store/ncd sections) — the
+/// object written by write_telemetry_json. Schema v5:
+/// tools/check_bench_json.py. Written from the snapshot API above, so an
+/// obs-off build emits the same document with every collection empty and
+/// every section field zero.
+[[nodiscard]] std::string metrics_json(const std::string& id);
 
 /// Writes metrics_json(id) to `path`, creating parent directories. Always
 /// available (emits an empty-but-schema-valid document when observability is

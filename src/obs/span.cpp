@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 
@@ -22,6 +21,7 @@ struct SpanStore {
   std::mutex mu;
   std::vector<SpanRecord> records;
   std::uint64_t dropped = 0;
+  std::map<std::string, SpanStat> stats;
   std::atomic<std::uint64_t> next_id{1};
   std::atomic<std::uint32_t> next_thread{0};
 
@@ -84,10 +84,22 @@ Span::~Span() {
   if (!active_) return;
   rec_.end_ns = since_clock_start_ns();
   tl_span_top = prev_;
+  // Self time excludes same-thread children only: a same-thread parent is
+  // the span below this one on the thread's stack, while a cross-thread
+  // child (a pool task) overlaps its parent in wall time and is never
+  // subtracted.
+  const std::uint64_t total = rec_.duration_ns();
+  rec_.self_ns = total > child_ns_ ? total - child_ns_ : 0;
+  if (prev_ != nullptr && prev_->rec_.id == rec_.parent_id) prev_->child_ns_ += total;
   SpanStore& store = SpanStore::get();
   bool dropped = false;
   {
     const std::lock_guard<std::mutex> lock(store.mu);
+    // Folded before the record cap, so dropped spans are still counted.
+    SpanStat& stat = store.stats[rec_.name];
+    ++stat.count;
+    stat.total_ns += total;
+    stat.self_ns += rec_.self_ns;
     if (store.records.size() >= kMaxSpanRecords) {
       ++store.dropped;
       dropped = true;
@@ -126,27 +138,13 @@ std::vector<SpanRecord> span_records_export() {
   std::sort(recs.begin(), recs.end(), [](const SpanRecord& a, const SpanRecord& b) {
     return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.id < b.id;
   });
-  // Sum same-thread child durations into each parent. Keyed on (parent id,
-  // thread) so a cross-thread child never eats its parent's self time.
-  std::unordered_map<std::uint64_t, std::uint64_t> child_ns;
-  std::unordered_map<std::uint64_t, std::uint32_t> thread_of;
-  child_ns.reserve(recs.size());
-  thread_of.reserve(recs.size());
-  for (const SpanRecord& r : recs) thread_of.emplace(r.id, r.thread);
-  for (const SpanRecord& r : recs) {
-    if (r.parent_id == 0) continue;
-    const auto it = thread_of.find(r.parent_id);
-    if (it != thread_of.end() && it->second == r.thread) {
-      child_ns[r.parent_id] += r.duration_ns();
-    }
-  }
-  for (SpanRecord& r : recs) {
-    const std::uint64_t total = r.duration_ns();
-    const auto it = child_ns.find(r.id);
-    const std::uint64_t children = it != child_ns.end() ? it->second : 0;
-    r.self_ns = total > children ? total - children : 0;
-  }
   return recs;
+}
+
+std::map<std::string, SpanStat> span_stats() {
+  SpanStore& store = SpanStore::get();
+  const std::lock_guard<std::mutex> lock(store.mu);
+  return store.stats;
 }
 
 std::uint64_t spans_dropped() noexcept {
@@ -162,6 +160,7 @@ void reset_spans() {
   const std::lock_guard<std::mutex> lock(store.mu);
   store.records.clear();
   store.dropped = 0;
+  store.stats.clear();
 }
 
 }  // namespace detail

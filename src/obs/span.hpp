@@ -1,9 +1,12 @@
 // Causal span profiling: RAII spans with process-unique ids, parent ids,
-// per-thread stacks, start/end timestamps, and key:value attributes. Where
-// ScopedTimer folds durations into path-keyed aggregates, a Span keeps the
-// individual occurrence — one record per scope — so a single sweep yields a
-// causally linked profile (which shard ran which solve, which solve paid the
-// transpose fill) exportable as a Chrome trace / telemetry "spans" section.
+// per-thread stacks, start/end timestamps, and key:value attributes. Spans
+// are the one instrumentation mechanism: each span keeps its individual
+// occurrence — one record per scope — so a single sweep yields a causally
+// linked profile (which shard ran which solve, which solve paid the
+// transpose fill) exportable as a Chrome trace / telemetry "spans" section,
+// and each close also folds (count, total, self) into a per-name aggregate,
+// span_stats(), behind the telemetry "timers" object and the Prometheus
+// tags_timer_* families.
 //
 // Causality follows scopes on one thread automatically (the per-thread span
 // stack supplies the parent id). Across threads it is explicit: capture
@@ -12,13 +15,15 @@
 // anything solved inside a pool job hangs off the dispatching span).
 //
 // Intended granularity is per solve / per phase, not per iteration: scope
-// exit appends to a mutex-guarded bounded store. The store caps at
-// kMaxSpanRecords; beyond that spans are counted in trace.spans_dropped and
-// discarded (ids keep advancing, so parent links in surviving records stay
-// valid). Compiled out under TAGS_ENABLE_OBS=OFF.
+// exit takes a mutex. The record store caps at kMaxSpanRecords; beyond that
+// spans are counted in trace.spans_dropped and their records discarded (ids
+// keep advancing, so parent links in surviving records stay valid), while
+// the per-name aggregate still counts them. Compiled out under
+// TAGS_ENABLE_OBS=OFF.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,7 +41,7 @@ struct SpanRecord {
   std::uint64_t start_ns = 0;  ///< monotonic, relative to process start
   std::uint64_t end_ns = 0;
   /// duration minus the summed durations of same-thread direct children,
-  /// clamped at zero. Filled by span_records_export(); 0 in raw records.
+  /// clamped at zero. Filled when the span closes.
   std::uint64_t self_ns = 0;
   std::vector<std::pair<std::string, double>> num;
   std::vector<std::pair<std::string, std::string>> str;
@@ -44,6 +49,13 @@ struct SpanRecord {
   [[nodiscard]] std::uint64_t duration_ns() const noexcept {
     return end_ns > start_ns ? end_ns - start_ns : 0;
   }
+};
+
+/// Per-name aggregate of closed spans: the telemetry "timers" entry.
+struct SpanStat {
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t self_ns = 0;  ///< same-thread children excluded, as in SpanRecord
 };
 
 #if TAGS_OBS_ENABLED
@@ -80,6 +92,7 @@ class Span {
 
   SpanRecord rec_;
   Span* prev_ = nullptr;  ///< enclosing span on this thread's stack
+  std::uint64_t child_ns_ = 0;  ///< summed durations of closed same-thread children
   bool active_ = false;
 };
 
@@ -89,11 +102,15 @@ class Span {
 
 /// The exporter view: records sorted by (start_ns, id) — a parent starts no
 /// later than its children and ids are assigned in construction order, so
-/// parents always precede their children — with self_ns filled in. Self
-/// time only subtracts same-thread children: cross-thread children (pool
-/// jobs fanned out from a sweep span) overlap in wall time, so subtracting
-/// them would be meaningless.
+/// parents always precede their children. Self time only subtracts
+/// same-thread children: cross-thread children (pool jobs fanned out from a
+/// sweep span) overlap in wall time, so subtracting them would be
+/// meaningless.
 [[nodiscard]] std::vector<SpanRecord> span_records_export();
+
+/// Per-name aggregate of every closed span, dropped ones included, sorted
+/// by name. Self time follows the same same-thread rule as the records.
+[[nodiscard]] std::map<std::string, SpanStat> span_stats();
 
 /// Spans discarded because the store was full (also mirrored in the
 /// trace.spans_dropped counter).
@@ -119,6 +136,7 @@ class Span {
 
 [[nodiscard]] inline std::vector<SpanRecord> span_records() { return {}; }
 [[nodiscard]] inline std::vector<SpanRecord> span_records_export() { return {}; }
+[[nodiscard]] inline std::map<std::string, SpanStat> span_stats() { return {}; }
 [[nodiscard]] inline std::uint64_t spans_dropped() noexcept { return 0; }
 
 #endif  // TAGS_OBS_ENABLED

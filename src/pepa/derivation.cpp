@@ -448,7 +448,7 @@ linalg::Vec DerivedModel::state_reward(
 
 DerivedModel derive(const Model& model, std::string_view system_name,
                     const DeriveOptions& opts) {
-  const obs::ScopedTimer obs_timer("pepa/derive");
+  const obs::Span span("pepa/derive");
   const std::uint64_t obs_start_ns = obs::now_ns();
   if (model.definitions.empty()) {
     throw SemanticError("model has no process definitions");

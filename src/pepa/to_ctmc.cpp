@@ -25,9 +25,9 @@ double SolvedModel::state_probability(
 }
 
 SolvedModel solve(DerivedModel dm, const ctmc::SteadyStateOptions& opts) {
-  const obs::ScopedTimer obs_timer("pepa/solve");
+  const obs::Span span("pepa/solve");
   {
-    const obs::ScopedTimer validate_timer("validate");
+    const obs::Span validate_span("pepa/validate");
     const ValidationReport report = check_derived(dm);
     if (!report.ok) {
       std::string msg = "model failed validation:";
@@ -50,7 +50,7 @@ SolvedModel solve_source(std::string_view source, std::string_view system_name,
                          const DeriveOptions& dopts,
                          const ctmc::SteadyStateOptions& sopts) {
   const Model model = [&] {
-    const obs::ScopedTimer parse_timer("pepa/parse");
+    const obs::Span span("pepa/parse");
     return parse_model(source);
   }();
   return solve(derive(model, system_name, dopts), sopts);

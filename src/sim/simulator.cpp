@@ -192,7 +192,7 @@ SimResults simulate_tags(const TagsSimParams& p) {
     if (!busy[node]) start_head(node);
   };
 
-  const obs::ScopedTimer obs_timer("sim/tags");
+  const obs::Span span("sim/tags");
   const std::uint64_t obs_start_ns = obs::now_ns();
   std::uint64_t n_events = 0;
   static obs::Histogram depth_hist("sim.tags.queue_depth",
@@ -271,7 +271,7 @@ SimResults simulate_dispatch(const DispatchSimParams& p) {
     calendar.schedule(now + queue[qi].front().demand, {false, qi});
   };
 
-  const obs::ScopedTimer obs_timer("sim/dispatch");
+  const obs::Span span("sim/dispatch");
   const std::uint64_t obs_start_ns = obs::now_ns();
   std::uint64_t n_events = 0;
   static obs::Histogram depth_hist("sim.dispatch.queue_depth",

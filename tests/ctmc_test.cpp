@@ -267,6 +267,30 @@ TEST(GaussSeidelSweeps, ReportedResidualIsTheBalanceResidualToTheBit) {
   expect_exact_residual(b.build());
 }
 
+// With no iterations allowed, both iterative methods hand back the start
+// vector, with its own balance residual and, since it is not stationary,
+// unconverged.
+TEST(SteadyState, ZeroIterationBudgetReportsTheStartVector) {
+  const auto chain = models::mm1k_ctmc(models::Mm1kParams{3.0, 5.0, 12});
+  const auto n = static_cast<std::size_t>(chain.n_states());
+  const linalg::Vec start(n, 1.0 / static_cast<double>(n));  // the default start
+  linalg::Vec y(n);
+  chain.generator().transpose_cache().multiply(start, y);
+  const double start_residual = linalg::nrm_inf(y);
+  ASSERT_GT(start_residual, 1e-3);
+  for (const auto method :
+       {ctmc::SteadyStateMethod::kGaussSeidel, ctmc::SteadyStateMethod::kPower}) {
+    ctmc::SteadyStateOptions opts;
+    opts.method = method;
+    opts.max_iter = 0;
+    const auto r = ctmc::steady_state(chain, opts);
+    EXPECT_FALSE(r.converged) << ctmc::to_string(method);
+    EXPECT_EQ(r.iterations, 0) << ctmc::to_string(method);
+    EXPECT_EQ(r.residual, start_residual) << ctmc::to_string(method);
+    EXPECT_EQ(r.pi, start) << ctmc::to_string(method);
+  }
+}
+
 // A state with no exit rate is skipped by the sweep: here it has no inflow
 // either, and keeps its share of the starting vector while the rest of the
 // chain is already balanced.

@@ -1,7 +1,8 @@
 // Causal span layer: parent/child nesting (same-thread via the per-thread
 // stack, cross-thread via ThreadPool's explicit batch-parent edge), self-time
-// attribution, store overflow accounting, exporter output, and — under TSan —
-// concurrent span construction and trace emission into a shared sink.
+// attribution, the per-name aggregate behind the telemetry timers, store
+// overflow accounting, exporter output, and — under TSan — concurrent span
+// construction and trace emission into a shared sink.
 //
 // Suite names matter: the CI ThreadSanitizer leg selects concurrency-relevant
 // suites by regex (ObsSpan|ObsTraceConcurrency among them).
@@ -172,9 +173,12 @@ TEST_F(ObsSpanTest, StoreOverflowDropsAndCountsThenResets) {
   const std::uint64_t dropped = obs::spans_dropped();
   EXPECT_GT(dropped, 0u);
   EXPECT_EQ(kept + dropped, kTotal);
+  // The per-name aggregate is folded before the cap: dropped spans count.
+  EXPECT_EQ(obs::span_stats().at("t/flood").count, kept + dropped);
   obs::reset_metrics();
   EXPECT_TRUE(obs::span_records().empty());
   EXPECT_EQ(obs::spans_dropped(), 0u);
+  EXPECT_TRUE(obs::span_stats().empty());
 }
 
 TEST_F(ObsSpanTest, PoolTasksParentUnderTheDispatchingSpan) {
@@ -256,13 +260,14 @@ TEST_F(ObsSpanTest, PrometheusExportCoversMetricFamilies) {
   obs::Histogram h("test.span.hist", obs::Histogram::linear_bounds(0.0, 10.0, 5));
   h.observe(2.0);
   {
-    const obs::ScopedTimer t("obs_span_test/prom");
+    const obs::Span span("obs_span_test/prom");
   }
   const std::string text = obs::prometheus_text();
   EXPECT_NE(text.find("tags_test_span_counter_total 3"), std::string::npos);
   EXPECT_NE(text.find("tags_test_span_gauge 1.5"), std::string::npos);
   EXPECT_NE(text.find("le="), std::string::npos);
-  EXPECT_NE(text.find("obs_span_test/prom"), std::string::npos);
+  EXPECT_NE(text.find("tags_timer_count_total{path=\"obs_span_test/prom\"} 1"),
+            std::string::npos);
 }
 
 TEST_F(ObsSpanTest, TelemetryJsonV4CarriesTheSpanSection) {
@@ -278,18 +283,75 @@ TEST_F(ObsSpanTest, TelemetryJsonV4CarriesTheSpanSection) {
   EXPECT_NE(json.find("\"spans_dropped\":0"), std::string::npos);
 }
 
-TEST_F(ObsSpanTest, ScopedTimerCopiesTemporaryLabels) {
+TEST_F(ObsSpanTest, SpanStatsCopyTemporaryNames) {
   {
-    std::string label = std::string("obs_span_test/") + "temporary";
-    const obs::ScopedTimer t(label);
-    // Clobber the buffer the label view pointed into while the timer is
-    // still open: the timer must have copied the characters.
-    label.assign(64, 'x');
+    std::string name = std::string("obs_span_test/") + "temporary";
+    const obs::Span span(name);
+    // Clobber the buffer the name view pointed into while the span is
+    // still open: the span must have copied the characters.
+    name.assign(64, 'x');
   }
-  const auto stats = obs::timer_stats();
+  const auto stats = obs::span_stats();
   const auto it = stats.find("obs_span_test/temporary");
   ASSERT_NE(it, stats.end());
   EXPECT_EQ(it->second.count, 1u);
+}
+
+TEST_F(ObsSpanTest, StatsEqualTheFoldOfExportedRecordsByName) {
+  {
+    obs::Span root("t/fold_root");
+    spin_briefly();
+    {
+      obs::Span child("t/fold_child");
+      spin_briefly();
+    }
+    core::ThreadPool pool(2);
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 4; ++i) {
+      tasks.emplace_back([] {
+        obs::Span job("t/fold_job");
+        spin_briefly();
+      });
+    }
+    pool.run(std::move(tasks));
+  }
+
+  const auto recs = obs::span_records_export();
+  std::map<std::string, obs::SpanStat> fold;
+  for (const auto& r : recs) {
+    obs::SpanStat& s = fold[r.name];
+    ++s.count;
+    s.total_ns += r.duration_ns();
+    s.self_ns += r.self_ns;
+  }
+  const auto stats = obs::span_stats();
+  ASSERT_EQ(stats.size(), fold.size());
+  for (const auto& [name, want] : fold) {
+    const auto it = stats.find(name);
+    ASSERT_NE(it, stats.end()) << name;
+    EXPECT_EQ(it->second.count, want.count) << name;
+    EXPECT_EQ(it->second.total_ns, want.total_ns) << name;
+    EXPECT_EQ(it->second.self_ns, want.self_ns) << name;
+  }
+  EXPECT_EQ(stats.at("core/pool_task").count, 4u);
+
+  // The same-thread child is subtracted from the root; the cross-thread
+  // core/pool_task children are not.
+  const auto* root = find_span(recs, "t/fold_root");
+  const auto* child = find_span(recs, "t/fold_child");
+  ASSERT_TRUE(root != nullptr && child != nullptr);
+  EXPECT_EQ(root->self_ns, root->duration_ns() - child->duration_ns());
+  EXPECT_EQ(stats.at("t/fold_root").self_ns,
+            root->duration_ns() - child->duration_ns());
+  // Each pool task owns all but its nested job's time, on its own thread.
+  for (const auto& r : recs) {
+    if (r.name != "t/fold_job") continue;
+    const auto task = std::find_if(recs.begin(), recs.end(), [&](const auto& t) {
+      return t.id == r.parent_id;
+    });
+    ASSERT_NE(task, recs.end());
+    EXPECT_EQ(task->self_ns, task->duration_ns() - r.duration_ns());
+  }
 }
 
 // --- Concurrency suites (selected by the TSan CI leg) ---
@@ -311,6 +373,10 @@ TEST_F(ObsTraceConcurrencyTest, ConcurrentSpanEmissionKeepsIdsUniqueAndNested) {
 
   const auto recs = obs::span_records_export();
   ASSERT_EQ(recs.size(), static_cast<std::size_t>(kThreads) * kIters * 2);
+  const auto stats = obs::span_stats();
+  const auto per_name = static_cast<std::uint64_t>(kThreads) * kIters;
+  EXPECT_EQ(stats.at("t/conc_outer").count, per_name);
+  EXPECT_EQ(stats.at("t/conc_inner").count, per_name);
   std::vector<std::uint64_t> ids;
   ids.reserve(recs.size());
   std::map<std::uint64_t, const obs::SpanRecord*> by_id;
@@ -416,6 +482,7 @@ TEST(ObsSpanDisabled, StubsAreInertAndExportsEmpty) {
   EXPECT_EQ(obs::Span::current_id(), 0u);
   EXPECT_TRUE(obs::span_records().empty());
   EXPECT_TRUE(obs::span_records_export().empty());
+  EXPECT_TRUE(obs::span_stats().empty());
   EXPECT_EQ(obs::spans_dropped(), 0u);
 }
 

@@ -19,11 +19,12 @@ results/baselines/ with per-metric relative thresholds.
         [--json PATH]              write the machine-readable verdict here
 
 Compared metrics:
-  * timers: total_ms per path (lower is better),
+  * timers: total_ms per span name (lower is better),
   * gauges ending in `_ms` or `_pct` (lower is better),
   * gauges containing `speedup` (higher is better).
 All other gauges/counters are configuration or correctness pins (already
-enforced by check_bench_json.py --require-gauge) and are not gated here.
+enforced by check_bench_json.py --require gauges.NAME) and are not gated
+here.
 
 A metric present on only one side is reported but never fails the gate:
 instrumentation legitimately comes and goes across PRs; thresholds are for
@@ -57,11 +58,11 @@ def comparable_metrics(doc):
     out = {}
     timers = doc.get("timers", {})
     if isinstance(timers, dict):
-        for path, stat in timers.items():
+        for name, stat in timers.items():
             if isinstance(stat, dict) and isinstance(
                 stat.get("total_ms"), (int, float)
             ):
-                out[f"timer:{path}.total_ms"] = (float(stat["total_ms"]), "lower")
+                out[f"timer:{name}.total_ms"] = (float(stat["total_ms"]), "lower")
     gauges = doc.get("gauges", {})
     if isinstance(gauges, dict):
         for name, value in gauges.items():

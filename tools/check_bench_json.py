@@ -1,37 +1,34 @@
 #!/usr/bin/env python3
 """Validate a bench telemetry JSON file against the v1..v5 schema.
 
-Usage: check_bench_json.py [--require-gauge NAME[=VALUE]]
-                           [--require-server-counter NAME[=VALUE]]
-                           [--require-store-counter NAME[=VALUE]]
-                           [--require-ncd-counter NAME[=VALUE]]
+Usage: check_bench_json.py [--require SECTION.FIELD[=VALUE|=+N]] ...
                            <telemetry.json> [...]
 
---require-gauge (repeatable) additionally asserts that every file defines
-the named gauge; with =VALUE it must also equal VALUE (within 1e-9). Used
-by the bench fixtures to pin down report invariants (e.g. that the
-parallel sweep produced bit-identical results) when observability is
-compiled in; files from an obs-off build (obs_level == -1) skip the
-requirement, since such builds legitimately emit empty documents.
+--require (repeatable) additionally asserts that every file carries
+SECTION.FIELD, split on the first dot: SECTION is "gauges" (FIELD is then
+a registry gauge name, which may itself contain dots) or one of the fixed
+sections "server" (v3+), "store" (v4+) or "ncd" (v5). With =VALUE the
+field must also equal VALUE (within 1e-9), and with =+N (e.g. =+1) it must
+be at least N. Used by the bench fixtures and smoke harnesses to pin down
+report invariants (e.g. that the parallel sweep produced bit-identical
+results) when observability is compiled in; files from an obs-off build
+(obs_level == -1) skip every requirement, since such builds legitimately
+emit empty documents.
 
 Stdlib only. Exit 0 when every file conforms, 1 otherwise with one line per
-problem. The schema (see README "Observability"):
-
---require-server-counter (repeatable, v3+ files) asserts a field of the
-"server" section is present; with =VALUE it must equal VALUE exactly, and
-with =+N (e.g. =+1) it must be at least N. Skipped for obs-off files like
---require-gauge. --require-store-counter does the same for the v4+ "store"
-section, and --require-ncd-counter for the v5 "ncd" section.
+problem.
 
 Zero-length files are rejected outright: every writer in the repo
 publishes via write-temp-then-rename, so an empty artifact always means a
 failed or interrupted export, never a legitimate document.
 
+The schema (see README "Observability"):
+
   {
     "id": str,
     "schema_version": 5,         # 1/2/3/4 accepted for earlier files
     "obs_level": int,            # -1 when compiled out, else 0..3
-    "timers": {path: {"count": int, "total_ms": num, "self_ms": num}},
+    "timers": {span_name: {"count": int, "total_ms": num, "self_ms": num}},
     "spans": [{"id": int, "parent": int, "thread": int, "name": str,
                "start_ms": num, "end_ms": num, "self_ms": num,
                "num": {key: num}?, "str": {key: str}?}],   # v2 only
@@ -76,46 +73,46 @@ import sys
 NUMBER = (int, float)
 
 
-SERVER_FIELDS = (
-    ("requests", int),
-    ("cache_hit", int),
-    ("cache_miss", int),
-    ("cache_evicted", int),
-    ("jobs_shed", int),
-    ("deadline_missed", int),
-    ("queue_depth", NUMBER),
-    ("cache_size", NUMBER),
-)
+# The fixed sections: name -> (first schema version, fields).
+SECTIONS = {
+    "server": (3, (
+        ("requests", int),
+        ("cache_hit", int),
+        ("cache_miss", int),
+        ("cache_evicted", int),
+        ("jobs_shed", int),
+        ("deadline_missed", int),
+        ("queue_depth", NUMBER),
+        ("cache_size", NUMBER),
+    )),
+    "store": (4, (
+        ("records_appended", int),
+        ("commits", int),
+        ("records_dropped", int),
+        ("records_recovered", int),
+        ("decode_failures", int),
+        ("lookups", int),
+        ("lookup_hits", int),
+        ("shards_journaled", int),
+        ("shards_resumed", int),
+        ("cache_loaded", int),
+        ("records", NUMBER),
+        ("bytes", NUMBER),
+    )),
+    "ncd": (5, (
+        ("partitions_built", int),
+        ("cache_hits", int),
+        ("cache_invalidated", int),
+        ("gate_accepts", int),
+        ("gate_rejects", int),
+        ("solves", int),
+        ("fallthroughs", int),
+        ("sweeps", int),
+    )),
+}
 
-STORE_FIELDS = (
-    ("records_appended", int),
-    ("commits", int),
-    ("records_dropped", int),
-    ("records_recovered", int),
-    ("decode_failures", int),
-    ("lookups", int),
-    ("lookup_hits", int),
-    ("shards_journaled", int),
-    ("shards_resumed", int),
-    ("cache_loaded", int),
-    ("records", NUMBER),
-    ("bytes", NUMBER),
-)
 
-NCD_FIELDS = (
-    ("partitions_built", int),
-    ("cache_hits", int),
-    ("cache_invalidated", int),
-    ("gate_accepts", int),
-    ("gate_rejects", int),
-    ("solves", int),
-    ("fallthroughs", int),
-    ("sweeps", int),
-)
-
-
-def check(path, required_gauges=(), required_server=(), required_store=(),
-          required_ncd=()):
+def check(path, requirements=()):
     problems = []
 
     def err(msg):
@@ -153,13 +150,13 @@ def check(path, required_gauges=(), required_server=(), required_store=(),
     field("solves_dropped", int)
 
     timers = field("timers", dict)
-    for tpath, stat in (timers or {}).items():
+    for span_name, stat in (timers or {}).items():
         if not isinstance(stat, dict):
-            err(f"timer '{tpath}' must be an object")
+            err(f"timer '{span_name}' must be an object")
             continue
         for key, types in (("count", int), ("total_ms", NUMBER), ("self_ms", NUMBER)):
             if not isinstance(stat.get(key), types) or isinstance(stat.get(key), bool):
-                err(f"timer '{tpath}' field '{key}' missing or wrong type")
+                err(f"timer '{span_name}' field '{key}' missing or wrong type")
 
     if version in (2, 3, 4, 5):
         field("spans_dropped", int)
@@ -276,102 +273,42 @@ def check(path, required_gauges=(), required_server=(), required_store=(),
         if cond is not None and (not isinstance(cond, NUMBER) or isinstance(cond, bool)):
             err(f"solves[{i}] field 'condition' wrong type")
 
-    server = None
-    if version in (3, 4, 5):
-        server = field("server", dict)
-        for key, types in SERVER_FIELDS:
-            v = (server or {}).get(key)
+    sections = {"gauges": gauges}
+    for name, (since, fields) in SECTIONS.items():
+        if version is None or version < since:
+            continue
+        sections[name] = field(name, dict)
+        for key, types in fields:
+            v = (sections[name] or {}).get(key)
             if not isinstance(v, types) or isinstance(v, bool):
-                err(f"server field '{key}' missing or wrong type")
-
-    store = None
-    if version in (4, 5):
-        store = field("store", dict)
-        for key, types in STORE_FIELDS:
-            v = (store or {}).get(key)
-            if not isinstance(v, types) or isinstance(v, bool):
-                err(f"store field '{key}' missing or wrong type")
-
-    ncd = None
-    if version == 5:
-        ncd = field("ncd", dict)
-        for key, types in NCD_FIELDS:
-            v = (ncd or {}).get(key)
-            if not isinstance(v, types) or isinstance(v, bool):
-                err(f"ncd field '{key}' missing or wrong type")
+                err(f"{name} field '{key}' missing or wrong type")
 
     if doc.get("obs_level", -1) >= 0:
-        for spec in required_gauges:
-            name, _, want = spec.partition("=")
-            if not isinstance((gauges or {}).get(name), NUMBER):
-                err(f"required gauge '{name}' missing")
-            elif want and abs(gauges[name] - float(want)) > 1e-9:
-                err(f"required gauge '{name}' is {gauges[name]}, expected {want}")
-        for spec in required_server:
-            name, _, want = spec.partition("=")
-            v = (server or {}).get(name)
+        for spec in requirements:
+            target, _, want = spec.partition("=")
+            section, _, name = target.partition(".")
+            v = (sections.get(section) or {}).get(name)
             if not isinstance(v, NUMBER) or isinstance(v, bool):
-                err(f"required server field '{name}' missing")
+                err(f"required {section} field '{name}' missing")
             elif want.startswith("+"):
                 if v < float(want[1:]):
-                    err(f"server field '{name}' is {v}, expected at least {want[1:]}")
+                    err(f"{section} field '{name}' is {v}, expected at least {want[1:]}")
             elif want and abs(v - float(want)) > 1e-9:
-                err(f"server field '{name}' is {v}, expected {want}")
-        for spec in required_store:
-            name, _, want = spec.partition("=")
-            v = (store or {}).get(name)
-            if not isinstance(v, NUMBER) or isinstance(v, bool):
-                err(f"required store field '{name}' missing")
-            elif want.startswith("+"):
-                if v < float(want[1:]):
-                    err(f"store field '{name}' is {v}, expected at least {want[1:]}")
-            elif want and abs(v - float(want)) > 1e-9:
-                err(f"store field '{name}' is {v}, expected {want}")
-        for spec in required_ncd:
-            name, _, want = spec.partition("=")
-            v = (ncd or {}).get(name)
-            if not isinstance(v, NUMBER) or isinstance(v, bool):
-                err(f"required ncd field '{name}' missing")
-            elif want.startswith("+"):
-                if v < float(want[1:]):
-                    err(f"ncd field '{name}' is {v}, expected at least {want[1:]}")
-            elif want and abs(v - float(want)) > 1e-9:
-                err(f"ncd field '{name}' is {v}, expected {want}")
+                err(f"{section} field '{name}' is {v}, expected {want}")
 
     return problems
 
 
 def main(argv):
-    required_gauges = []
-    required_server = []
-    required_store = []
-    required_ncd = []
+    required = []
     paths = []
     i = 1
     while i < len(argv):
-        if argv[i] == "--require-gauge" and i + 1 < len(argv):
-            required_gauges.append(argv[i + 1])
+        if argv[i] == "--require" and i + 1 < len(argv):
+            required.append(argv[i + 1])
             i += 2
-        elif argv[i].startswith("--require-gauge="):
-            required_gauges.append(argv[i].split("=", 1)[1])
-            i += 1
-        elif argv[i] == "--require-server-counter" and i + 1 < len(argv):
-            required_server.append(argv[i + 1])
-            i += 2
-        elif argv[i].startswith("--require-server-counter="):
-            required_server.append(argv[i].split("=", 1)[1])
-            i += 1
-        elif argv[i] == "--require-store-counter" and i + 1 < len(argv):
-            required_store.append(argv[i + 1])
-            i += 2
-        elif argv[i].startswith("--require-store-counter="):
-            required_store.append(argv[i].split("=", 1)[1])
-            i += 1
-        elif argv[i] == "--require-ncd-counter" and i + 1 < len(argv):
-            required_ncd.append(argv[i + 1])
-            i += 2
-        elif argv[i].startswith("--require-ncd-counter="):
-            required_ncd.append(argv[i].split("=", 1)[1])
+        elif argv[i].startswith("--require="):
+            required.append(argv[i].split("=", 1)[1])
             i += 1
         else:
             paths.append(argv[i])
@@ -381,8 +318,7 @@ def main(argv):
         return 2
     all_problems = []
     for path in paths:
-        all_problems += check(path, required_gauges, required_server,
-                              required_store, required_ncd)
+        all_problems += check(path, required)
     for p in all_problems:
         print(p, file=sys.stderr)
     if not all_problems:

@@ -12,7 +12,8 @@
 //
 // When either telemetry flag is given, each exported model is additionally
 // parsed and derived so that the emitted metrics cover the real state-space
-// construction (states, transitions, dedup hit rate, per-phase timers).
+// construction (states, transitions, dedup hit rate, and the pepa/derive
+// span with its per-name timer).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -176,11 +176,11 @@ def main():
         fail("server wrote no Prometheus export at %s" % prom)
     check = subprocess.run(
         [args.python, args.check, telemetry,
-         "--require-server-counter", "requests=+4",
-         "--require-server-counter", "cache_hit=+1",
-         "--require-server-counter", "cache_miss=+1",
-         "--require-server-counter", "jobs_shed=+1",
-         "--require-server-counter", "deadline_missed=+1"],
+         "--require", "server.requests=+4",
+         "--require", "server.cache_hit=+1",
+         "--require", "server.cache_miss=+1",
+         "--require", "server.jobs_shed=+1",
+         "--require", "server.deadline_missed=+1"],
         capture_output=True, text=True, timeout=120)
     sys.stdout.write(check.stdout)
     sys.stderr.write(check.stderr)

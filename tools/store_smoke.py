@@ -142,8 +142,8 @@ def main():
     telemetry = os.path.join(run2, "results", "fig06_telemetry.json")
     proc = subprocess.run(
         [args.python, args.check,
-         "--require-store-counter", "shards_resumed=+1",
-         "--require-store-counter", "lookup_hits=+1",
+         "--require", "store.shards_resumed=+1",
+         "--require", "store.lookup_hits=+1",
          telemetry],
         capture_output=True, text=True, timeout=60)
     if proc.returncode != 0:
