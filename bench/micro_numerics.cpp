@@ -3,21 +3,27 @@
 //
 // Like micro_sweep this binary has its own main: before the
 // google-benchmark suite it (1) times steady-state solves with
-// certification on vs off on both solver paths (dense-LU + condest, and
-// Gauss-Seidel), (2) runs a fig07-style t-sweep plus transient solves and
-// checks every solve record is certified-or-diverged, and (3) sweeps
-// Fox-Glynn over q from 0.1 to 1e6 checking unit mass. Results land in
+// certification on vs off, interleaved solve by solve on one OpenMP
+// thread, on both solver paths (dense-LU + condest, and Gauss-Seidel),
+// (2) runs a fig07-style t-sweep plus transient solves and checks every
+// solve record is certified-or-diverged, and (3) sweeps Fox-Glynn over q
+// from 0.1 to 1e6 checking unit mass. Results land in
 // gauges and results/micro_numerics_telemetry.json; the ctest fixture pins
 // bench.micro_numerics.all_solves_certified and .fox_glynn_mass_ok via
 // tools/check_bench_json.py --require gauges.NAME. `--numerics-report-only`
 // skips the google-benchmark suite.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "bench_util.hpp"
 #include "core/experiment.hpp"
@@ -33,34 +39,59 @@ namespace {
 using namespace tags;
 using clock_type = std::chrono::steady_clock;
 
-double time_solves_ms(const models::TagsModel& model, bool certify, int reps) {
+double time_solve_ms(const models::TagsModel& model, bool certify) {
   ctmc::SteadyStateOptions opts;
   opts.certify = certify;
-  double best = 0.0;
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto t0 = clock_type::now();
-    for (int r = 0; r < reps; ++r) {
-      const auto res = model.solve(opts);
-      benchmark::DoNotOptimize(res.pi.data());
-    }
-    const double ms =
-        std::chrono::duration<double, std::milli>(clock_type::now() - t0).count();
-    if (trial == 0 || ms < best) best = ms;
-  }
-  return best;
+  const auto t0 = clock_type::now();
+  const auto res = model.solve(opts);
+  benchmark::DoNotOptimize(res.pi.data());
+  return std::chrono::duration<double, std::milli>(clock_type::now() - t0).count();
 }
 
-/// Certification overhead on one solver path; returns overhead in percent.
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 != 0 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+/// Certification overhead on one solver path, in percent: the median over
+/// kPairs pairs of each pair's relative difference between `reps`
+/// uncertified and `reps` certified solves. The two sides alternate solve
+/// by solve, each going first in turn, so both see the same host load,
+/// and the median drops the pairs a burst of load hit. The solves run on
+/// one OpenMP thread, as the benchmark harness runs them: with the default
+/// team the certified side's residual SpMV (n > 4096) forks a parallel
+/// region the uncertified Gauss-Seidel solve never enters, and on a shared
+/// host that fork costs whatever the other cores' load makes it.
 double report_overhead(const char* label, const models::TagsParams& p, int reps) {
+  constexpr int kPairs = 9;
+#ifdef _OPENMP
+  const int team = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
   const models::TagsModel model(p);
-  const double off_ms = time_solves_ms(model, false, reps);
-  const double on_ms = time_solves_ms(model, true, reps);
-  const double pct = off_ms > 0.0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;
-  std::printf("%s (%lld states, %d solves): uncertified %.2f ms, certified "
-              "%.2f ms, overhead %.1f%%\n",
-              label, static_cast<long long>(model.n_states()), reps, off_ms, on_ms,
-              pct);
-  return pct;
+  std::vector<double> off_ms(kPairs, 0.0), on_ms(kPairs, 0.0), pct;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    for (int r = 0; r < reps; ++r) {
+      const bool certified_first = (pair + r) % 2 == 1;
+      for (const bool certify : {certified_first, !certified_first}) {
+        (certify ? on_ms : off_ms)[pair] += time_solve_ms(model, certify);
+      }
+    }
+    pct.push_back(100.0 * (on_ms[pair] - off_ms[pair]) / off_ms[pair]);
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(team);
+#endif
+  const double overhead = median(pct);
+  std::printf("%s (%lld states, %d pairs of %d solves): uncertified %.2f ms, "
+              "certified %.2f ms (medians), overhead %.1f%% (median of pairs, "
+              "range %.1f..%.1f%%)\n",
+              label, static_cast<long long>(model.n_states()), kPairs, reps,
+              median(off_ms), median(on_ms), overhead,
+              *std::min_element(pct.begin(), pct.end()),
+              *std::max_element(pct.begin(), pct.end()));
+  return overhead;
 }
 
 /// Every steady-state / transient record must be certified or explicitly
@@ -85,10 +116,10 @@ bool all_records_certified(std::size_t* n_seen) {
 int run_numerics_report() {
   // --- certification overhead, both solver paths -------------------------
   models::TagsParams small = core::Fig6Scenario::make().tags_at(50.0);
-  small.k1 = small.k2 = 4;  // ~1k states: dense-LU path, pays the condest
-  const double dense_pct = report_overhead("dense-lu path", small, 10);
+  small.k1 = small.k2 = 4;  // 957 states: dense-LU path, pays the condest
+  const double dense_pct = report_overhead("dense-lu path", small, 2);
   const models::TagsParams paper = core::Fig6Scenario::make().tags_at(50.0);
-  const double gs_pct = report_overhead("gauss-seidel path", paper, 3);
+  const double gs_pct = report_overhead("gauss-seidel path", paper, 8);
 
   // --- all solves certified across a sweep + transients ------------------
   obs::reset_metrics();

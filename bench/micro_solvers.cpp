@@ -1,31 +1,22 @@
 // Steady-state solver comparison on real TAGS chains of growing size,
-// plus the structure-aware fast-path report.
+// plus the NCD fast-path report.
 //
 // Like micro_sweep this binary has its own main: before the
-// google-benchmark suite it solves the largest deep/narrow TAGS and H2
-// configurations twice — through the level/QBD direct solver and through
-// the generic kAuto chain with the structured path disabled — and records
-// the speedup, certification verdicts, transpose-cache traffic, and a
+// google-benchmark suite it solves a rare-timeout square chain (k1=k2=10,
+// t=0.4) twice — through kAuto, which lands on NCD aggregation-
+// disaggregation, and with the NCD gate off (Gauss-Seidel) — and records
+// the speedup, certification verdicts, the coupling gate's verdict on the
+// strongly-coupled square chain at t=50, transpose-cache traffic, and a
 // thread-count determinism cross-check into gauges written to
 // results/micro_solvers_telemetry.json (pinned by the ctest fixture via
 // tools/check_bench_json.py --require gauges.NAME). `--solvers-report-only`
 // skips the google-benchmark suite.
 //
-// Findings (visible in the report): on square chains the widest level
-// approaches sqrt(n) and the O(m^2)-per-state cost loses, which is what
-// the detector's profitability gate encodes. On the deep/narrow chains the
-// paper sweeps (fig06/fig09 at large K1 with small K2) the gate accepts,
-// yet block elimination on the BFS level structure runs at only about
-// 0.45x (TAGS) and 0.7x (H2) of the speed of the flow-directed
-// Gauss-Seidel sweeps (see the level-QBD gate item in ROADMAP.md).
-//
-// The report also exercises the NCD aggregation-disaggregation path on a
-// rare-timeout square chain (k1=k2=10, t=0.4): the short cutoff makes
-// host-2 re-runs rare, the chain falls apart into ~70 weakly-coupled
-// blocks, the QBD bandwidth guard declines (levels too wide), and the
+// Findings (visible in the report): the short cutoff makes host-2 re-runs
+// rare, the chain falls apart into ~70 weakly-coupled blocks, and the
 // certified NCD solver beats the Gauss-Seidel fallback by about 3x. On the
-// strongly-coupled square chain at t=50 the coupling gate declines
-// ("one-block") and kAuto stays bit-identical to the pre-NCD chain.
+// strongly-coupled square chain the coupling gate declines ("one-block")
+// and kAuto stays bit-identical to the chain with NCD off.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -40,7 +31,6 @@
 #endif
 
 #include "bench_util.hpp"
-#include "ctmc/qbd.hpp"
 #include "ctmc/steady_state.hpp"
 #include "linalg/ncd.hpp"
 #include "models/tags.hpp"
@@ -86,42 +76,6 @@ double time_solve_ms(const linalg::CsrMatrix& q, const ctmc::SteadyStateOptions&
   return best;
 }
 
-struct FastPathComparison {
-  double speedup = 0.0;
-  bool structured_used = false;
-  bool certified = false;
-  double max_diff = 0.0;
-};
-
-/// Structured (level-QBD via kAuto) vs the generic chain on one generator.
-FastPathComparison compare_fast_path(const char* label, const linalg::CsrMatrix& q) {
-  ctmc::SteadyStateResult structured, generic;
-  const double structured_ms = time_solve_ms(q, {}, structured);
-  ctmc::SteadyStateOptions off;
-  off.structured = false;
-  const double generic_ms = time_solve_ms(q, off, generic);
-
-  FastPathComparison c;
-  c.structured_used =
-      structured.method_used == ctmc::SteadyStateMethod::kLevelQbd;
-  c.certified = structured.certificate.ok() && generic.certificate.ok();
-  c.speedup = structured_ms > 0.0 ? generic_ms / structured_ms : 0.0;
-  if (structured.converged && generic.converged) {
-    c.max_diff = linalg::max_abs_diff(structured.pi, generic.pi);
-  }
-  const auto s = ctmc::detect_qbd(q);
-  std::printf("%-24s n=%6lld max_block=%4lld: structured(%s) %8.2f ms, "
-              "generic(%s) %8.2f ms, speedup %.2fx, certified %s, "
-              "max|dpi|=%.1e\n",
-              label, static_cast<long long>(q.rows()),
-              static_cast<long long>(s.max_block),
-              std::string(ctmc::to_string(structured.method_used)).c_str(),
-              structured_ms,
-              std::string(ctmc::to_string(generic.method_used)).c_str(),
-              generic_ms, c.speedup, c.certified ? "yes" : "NO", c.max_diff);
-  return c;
-}
-
 struct NcdComparison {
   double speedup = 0.0;
   bool ncd_used = false;
@@ -129,9 +83,8 @@ struct NcdComparison {
   double max_diff = 0.0;
 };
 
-/// NCD aggregation-disaggregation (via kAuto, which reaches it because the
-/// QBD bandwidth guard declines this chain) vs the same chain with the NCD
-/// gate forced off (Gauss-Seidel fallback).
+/// NCD aggregation-disaggregation (via kAuto, whose first stage it is) vs
+/// the same chain with the NCD gate forced off (Gauss-Seidel fallback).
 NcdComparison compare_ncd_path(const char* label, const linalg::CsrMatrix& q) {
   ctmc::SteadyStateResult ncd, generic;
   const double ncd_ms = time_solve_ms(q, {}, ncd);
@@ -183,19 +136,13 @@ bool thread_determinism_check(const linalg::CsrMatrix& q) {
 }
 
 int run_solvers_report() {
-  // The paper's sweeps at scale: deep K1 with shallow K2 (fig06/fig09
-  // shapes pushed to their largest sizes) — narrow levels, gate-admitted.
+  // A deep chain from the paper's sweeps pushed to its largest size (fig06
+  // shape: deep K1, shallow K2), large enough that the parallel SpMV and
+  // vector kernels engage, for the thread-count determinism check.
   models::TagsParams tp;
   tp.k1 = 256;
   tp.k2 = 2;
-  const models::TagsModel tags_model(tp);
-  const linalg::CsrMatrix& tags_q = tags_model.chain().generator();
-
-  models::TagsH2Params hp;
-  hp.k1 = 128;
-  hp.k2 = 1;
-  const models::TagsH2Model h2_model(hp);
-  const linalg::CsrMatrix& h2_q = h2_model.chain().generator();
+  const models::TagsModel deep_model(tp);
 
 #if TAGS_OBS_ENABLED
   obs::Counter cache_hits("numerics.transpose_cache.hits");
@@ -204,33 +151,24 @@ int run_solvers_report() {
   const std::uint64_t misses_before = cache_misses.value();
 #endif
 
-  const auto tags_cmp = compare_fast_path("tags k1=256 k2=2", tags_q);
-  const auto h2_cmp = compare_fast_path("h2 k1=128 k2=1", h2_q);
-
-  // A square chain for contrast: the gate declines it and kAuto stays on
-  // the generic chain (structured_solver_used only counts the winners).
+  // The strongly-coupled square chain: the NCD detector collapses it to
+  // one block and kAuto must stay on the generic chain.
   const models::TagsModel square_model(sized_params(10));
   ctmc::SteadyStateResult square;
   (void)time_solve_ms(square_model.chain().generator(), {}, square);
-  const bool square_declined =
-      square.method_used != ctmc::SteadyStateMethod::kLevelQbd;
-  std::printf("%-24s n=%6lld: gate declines, generic chain used: %s\n",
+  const bool ncd_declined_square =
+      square.method_used != ctmc::SteadyStateMethod::kNcdAd;
+  std::printf("%-24s n=%6lld: NCD gate declines, %s used: %s\n",
               "tags k=10 (square)",
               static_cast<long long>(square_model.n_states()),
-              square_declined ? "yes" : "NO");
+              std::string(ctmc::to_string(square.method_used)).c_str(),
+              ncd_declined_square ? "yes" : "NO");
 
-  // The rare-timeout chain: QBD declines (levels too wide), the NCD
-  // coupling gate accepts, and the multilevel solver carries the solve.
-  // The same square t=50 chain above doubles as the NCD contrast case —
-  // strongly coupled, the detector collapses it to one block and kAuto
-  // must stay on the generic chain.
+  // The rare-timeout chain: the NCD coupling gate accepts and the
+  // multilevel solver carries the solve.
   const models::TagsModel rare_model(rare_timeout_params());
   const auto ncd_cmp =
       compare_ncd_path("tags k=10 t=0.4 (rare)", rare_model.chain().generator());
-  const bool ncd_declined_square =
-      square.method_used != ctmc::SteadyStateMethod::kNcdAd;
-  std::printf("%-24s NCD gate declines square chain: %s\n", "",
-              ncd_declined_square ? "yes" : "NO");
 
 #if TAGS_OBS_ENABLED
   const double hit_delta = static_cast<double>(cache_hits.value() - hits_before);
@@ -242,18 +180,9 @@ int run_solvers_report() {
   std::printf("transpose cache during report: %g hits, %g builds\n", hit_delta,
               miss_delta);
 
-  const bool identical = thread_determinism_check(tags_q);
+  const bool identical = thread_determinism_check(deep_model.chain().generator());
+  const bool all_certified = ncd_cmp.certified && square.certificate.ok();
 
-  const bool structured_used = tags_cmp.structured_used && h2_cmp.structured_used;
-  const bool all_certified = tags_cmp.certified && h2_cmp.certified &&
-                             square.certificate.ok();
-
-  obs::gauge_set("bench.micro_solvers.structured_solver_used",
-                 structured_used ? 1.0 : 0.0);
-  obs::gauge_set("bench.micro_solvers.structured_declined_square",
-                 square_declined ? 1.0 : 0.0);
-  obs::gauge_set("bench.micro_solvers.speedup_tags", tags_cmp.speedup);
-  obs::gauge_set("bench.micro_solvers.speedup_h2", h2_cmp.speedup);
   obs::gauge_set("bench.micro_solvers.all_solves_certified",
                  all_certified ? 1.0 : 0.0);
   obs::gauge_set("bench.micro_solvers.parallel_identical", identical ? 1.0 : 0.0);
@@ -267,12 +196,10 @@ int run_solvers_report() {
   obs::gauge_set("bench.micro_solvers.ncd_declined_square",
                  ncd_declined_square ? 1.0 : 0.0);
   tags::bench::emit_telemetry("micro_solvers");
-  // The measured speedups are gated by bench_compare.py against the
+  // The measured speedup is gated by bench_compare.py against the
   // baselines (machine-relative); here only the invariants fail the run.
   const bool ncd_ok = ncd_cmp.ncd_used && ncd_cmp.certified && ncd_declined_square;
-  return structured_used && square_declined && all_certified && identical && ncd_ok
-             ? 0
-             : 1;
+  return all_certified && identical && ncd_ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -280,8 +207,8 @@ int run_solvers_report() {
 // ---------------------------------------------------------------------------
 //
 // Gauss-Seidel sweeps are the dependable iterative workhorse for these
-// balance systems (consistent with the CTMC literature); dense LU and
-// level-QBD are the direct solves kAuto tries first where they pay off.
+// balance systems (consistent with the CTMC literature); dense LU is the
+// direct solve kAuto runs on chains of at most 1200 states.
 
 void run_method(benchmark::State& state, ctmc::SteadyStateMethod method,
                 int max_iter) {
@@ -310,13 +237,9 @@ void BM_SteadyGaussSeidel(benchmark::State& state) {
 void BM_SteadyDenseLu(benchmark::State& state) {
   run_method(state, ctmc::SteadyStateMethod::kDenseLu, 1);
 }
-void BM_SteadyLevelQbd(benchmark::State& state) {
-  run_method(state, ctmc::SteadyStateMethod::kLevelQbd, 1);
-}
 
 BENCHMARK(BM_SteadyGaussSeidel)->Arg(4)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SteadyDenseLu)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SteadyLevelQbd)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
 
 // Warm-start benefit: solve at t, then at t + 1 from the previous solution.
 void BM_WarmStartedResolve(benchmark::State& state) {

@@ -26,7 +26,6 @@
 #include "ctmc/steady_state.hpp"
 #include "linalg/batch.hpp"
 #include "models/tags.hpp"
-#include "models/tags_h2.hpp"
 
 #include <optional>
 
@@ -124,6 +123,7 @@ struct BatchProbe {
   double batched_ms = 0.0;
   bool identical = false;   ///< batched pi bit-identical to scalar, per point
   bool certified = false;   ///< every result (both paths) passed its certificate
+  bool dense_lu = false;    ///< every result (both paths) came from dense LU
   [[nodiscard]] double speedup() const noexcept {
     return batched_ms > 0.0 ? scalar_ms / batched_ms : 0.0;
   }
@@ -140,21 +140,20 @@ bool identical_pis(const std::vector<linalg::Vec>& a,
   return true;
 }
 
-/// Time one sweep configuration both ways. The scalar side is exactly what
-/// a sweep shard runs today: one warm-start-chained direct solve per point.
+/// Time one sweep configuration both ways under kAuto. The scalar side is
+/// exactly what a sweep shard runs: one warm-start-chained solve per point.
 /// The batched side packs `batch` adjacent points into a CsrValueBatch and
-/// solves them in lockstep; the tail chunk exercises the partial-width
-/// path. Both sides force kLevelQbd so the comparison times the solver,
-/// not the method-selection heuristics.
-template <class Model, class Params>
-BatchProbe probe_batched(const std::vector<Params>& points, std::size_t batch) {
+/// solves them together, which factors the lanes in lockstep when dense LU
+/// is kAuto's first stage (chains of at most 1200 states); the tail chunk
+/// exercises the partial-width path.
+BatchProbe probe_batched(const std::vector<models::TagsParams>& points, std::size_t batch) {
   using clock = std::chrono::steady_clock;
-  ctmc::SteadyStateOptions opts;
-  opts.method = ctmc::SteadyStateMethod::kLevelQbd;
+  const ctmc::SteadyStateOptions opts;
 
   BatchProbe out;
   std::vector<linalg::Vec> scalar_pi, batched_pi;
   bool scalar_cert = true, batched_cert = true;
+  out.dense_lu = true;
 
   // Best of two per side: one multi-second rep is still at the mercy of a
   // noisy-neighbour scheduler; the min is the honest kernel cost.
@@ -163,13 +162,14 @@ BatchProbe probe_batched(const std::vector<Params>& points, std::size_t batch) {
     bool cert = true;
     ctmc::WarmStartState warm;
     warm.opts = opts;
-    Model m(points.front());
+    models::TagsModel m(points.front());
     const auto t0 = clock::now();
-    for (const Params& p : points) {
+    for (const models::TagsParams& p : points) {
       m.rebind(p);
       warm.reconcile(static_cast<linalg::index_t>(m.n_states()));
       auto r = m.solve(warm.opts);
       cert = cert && r.certificate.ok();
+      out.dense_lu = out.dense_lu && r.method_used == ctmc::SteadyStateMethod::kDenseLu;
       warm.accept(r);
       pis.push_back(std::move(r.pi));
     }
@@ -183,7 +183,7 @@ BatchProbe probe_batched(const std::vector<Params>& points, std::size_t batch) {
   for (int rep = 0; rep < 2; ++rep) {
     std::vector<linalg::Vec> pis;
     bool cert = true;
-    Model m(points.front());
+    models::TagsModel m(points.front());
     const auto t0 = clock::now();
     for (std::size_t i = 0; i < points.size(); i += batch) {
       const std::size_t bw = std::min(batch, points.size() - i);
@@ -196,6 +196,7 @@ BatchProbe probe_batched(const std::vector<Params>& points, std::size_t batch) {
       }
       for (auto& r : ctmc::steady_state_batch(*vals, opts)) {
         cert = cert && r.certificate.ok();
+        out.dense_lu = out.dense_lu && r.method_used == ctmc::SteadyStateMethod::kDenseLu;
         pis.push_back(std::move(r.pi));
       }
     }
@@ -211,50 +212,39 @@ BatchProbe probe_batched(const std::vector<Params>& points, std::size_t batch) {
   return out;
 }
 
-/// Batched-vs-scalar report on the largest fig08 and fig11 sweep
-/// configurations. Gauges: batched_identical must be 1 (the determinism
-/// contract: batched direct solves are bit-identical to the scalar chain at
-/// any width), batched_speedup is the smaller of the two configs' ratios.
+/// Batched-vs-scalar report on fig08's heaviest t-grid at K1 = K2 = 4
+/// (957 states), small enough for kAuto to batch it on dense LU. Gauges:
+/// batched_identical must be 1 (the determinism contract: batched dense-LU
+/// solves are bit-identical to the scalar chain at any width, every result
+/// certified, and every lane on dense LU, the stage the batch factors);
+/// batched_speedup is the scalar-to-batched time ratio.
 int run_batch_report(std::size_t batch) {
-  // fig08's largest column: lambda = 11, t swept 30..75 — the paper grid's
-  // heaviest direct-solve chain (n up to ~4900 states, QBD levels to 284).
+  // fig08's largest column: lambda = 11, t swept 30..75.
   core::Fig8Scenario s8;
   std::vector<models::TagsParams> pts8;
-  for (double t = 30.0; t <= 75.0; t += 1.0) pts8.push_back(s8.tags_at(11.0, t));
+  for (double t = 30.0; t <= 75.0; t += 1.0) {
+    models::TagsParams p = s8.tags_at(11.0, t);
+    p.k1 = p.k2 = 4;
+    pts8.push_back(p);
+  }
 
-  // fig11's heaviest alpha: 0.99 at ratio 10, t swept over the coarse-scan
-  // grid the optimiser actually visits.
-  const auto s11 = core::Fig11Scenario::make();
-  std::vector<models::TagsH2Params> pts11;
-  for (double t = 4.0; t <= 100.0; t += 6.0) pts11.push_back(s11.tags_at(0.99, t));
+  const BatchProbe p8 = probe_batched(pts8, batch);
+  const bool ok = p8.identical && p8.certified && p8.dense_lu;
 
-  const BatchProbe p8 = probe_batched<models::TagsModel>(pts8, batch);
-  const BatchProbe p11 = probe_batched<models::TagsH2Model>(pts11, batch);
-
-  const bool identical = p8.identical && p11.identical;
-  const bool certified = p8.certified && p11.certified;
-  const double speedup = std::min(p8.speedup(), p11.speedup());
-
-  std::printf("batched solves (width %zu): fig08 %zu pts scalar %.0f ms batched "
-              "%.0f ms (%.2fx); fig11 %zu pts scalar %.0f ms batched %.0f ms "
-              "(%.2fx)\n",
-              batch, pts8.size(), p8.scalar_ms, p8.batched_ms, p8.speedup(),
-              pts11.size(), p11.scalar_ms, p11.batched_ms, p11.speedup());
+  std::printf("batched solves (width %zu): fig08 K=4 %zu pts scalar %.0f ms "
+              "batched %.0f ms (%.2fx)\n",
+              batch, pts8.size(), p8.scalar_ms, p8.batched_ms, p8.speedup());
   std::printf("batched pi bit-identical to scalar: %s; all solves certified: "
-              "%s\n",
-              identical ? "yes" : "NO", certified ? "yes" : "NO");
+              "%s; all on dense LU: %s\n",
+              p8.identical ? "yes" : "NO", p8.certified ? "yes" : "NO",
+              p8.dense_lu ? "yes" : "NO");
 
   obs::gauge_set("bench.micro_sweep.batch_width", static_cast<double>(batch));
   obs::gauge_set("bench.micro_sweep.fig08_scalar_ms", p8.scalar_ms);
   obs::gauge_set("bench.micro_sweep.fig08_batched_ms", p8.batched_ms);
-  obs::gauge_set("bench.micro_sweep.fig08_batched_speedup", p8.speedup());
-  obs::gauge_set("bench.micro_sweep.fig11_scalar_ms", p11.scalar_ms);
-  obs::gauge_set("bench.micro_sweep.fig11_batched_ms", p11.batched_ms);
-  obs::gauge_set("bench.micro_sweep.fig11_batched_speedup", p11.speedup());
-  obs::gauge_set("bench.micro_sweep.batched_speedup", speedup);
-  obs::gauge_set("bench.micro_sweep.batched_identical",
-                 identical && certified ? 1.0 : 0.0);
-  return identical && certified ? 0 : 1;
+  obs::gauge_set("bench.micro_sweep.batched_speedup", p8.speedup());
+  obs::gauge_set("bench.micro_sweep.batched_identical", ok ? 1.0 : 0.0);
+  return ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,9 @@
-// Parameter sweeps. Three execution strategies:
-//
-//  * parallel_sweep — independent per-point evaluations fanned out over
-//    OpenMP threads (no state carried between points).
-//  * warm_sweep — sequential, threading the previous stationary vector
-//    into each solve (much faster for CTMC t-sweeps, where neighbouring
-//    parameter points have nearly identical solutions).
-//  * sharded_sweep — the parallel sweep engine: the grid is cut into
-//    contiguous shards, each shard is evaluated as one task on the
-//    work-stealing pool (core/pool.hpp) with its own thread-local
-//    ctmc::WarmStartState (warm starts never cross shards), and results
-//    are merged back in grid order.
+// Parameter sweeps. sharded_sweep is the parallel sweep engine: the grid
+// is cut into contiguous shards, each shard is evaluated as one task on
+// the work-stealing pool (core/pool.hpp) with its own thread-local
+// ctmc::WarmStartState (warm starts never cross shards, and each solve
+// starts from the previous point's stationary vector), and results are
+// merged back in grid order.
 //
 // Determinism contract (see DESIGN.md "Parallel sweep engine"): the shard
 // plan is a function of the grid alone — never of the thread count — and a
@@ -35,42 +29,6 @@ namespace tags::core {
 
 /// Evenly spaced values [lo, hi] inclusive.
 [[nodiscard]] std::vector<double> linspace(double lo, double hi, std::size_t count);
-
-/// Evaluate fn over all inputs, in parallel when OpenMP is enabled.
-/// Results are returned in input order regardless of scheduling.
-template <class T, class Fn>
-[[nodiscard]] auto parallel_sweep(const std::vector<T>& inputs, Fn&& fn)
-    -> std::vector<decltype(fn(inputs.front()))> {
-  using R = decltype(fn(inputs.front()));
-  std::vector<R> results(inputs.size());
-  const auto count = static_cast<long long>(inputs.size());
-#pragma omp parallel for schedule(dynamic)
-  for (long long i = 0; i < count; ++i) {
-    results[static_cast<std::size_t>(i)] = fn(inputs[static_cast<std::size_t>(i)]);
-  }
-  return results;
-}
-
-/// Sequential sweep with warm-started steady-state solves. `solve_fn` gets
-/// the parameter value and solver options (carrying the previous pi as the
-/// initial guess) and returns the stationary result for that point.
-template <class T, class SolveFn>
-[[nodiscard]] std::vector<ctmc::SteadyStateResult> warm_sweep(
-    const std::vector<T>& inputs, SolveFn&& solve_fn) {
-  std::vector<ctmc::SteadyStateResult> results;
-  results.reserve(inputs.size());
-  ctmc::WarmStartState warm;
-  for (const T& x : inputs) {
-    ctmc::SteadyStateResult r = solve_fn(x, warm.opts);
-    warm.accept(r);
-    // A structural parameter may have moved mid-sweep; reconciling against
-    // the size we just solved drops a stale guess instead of letting every
-    // later solve silently fall back to the uniform start.
-    warm.reconcile(static_cast<ctmc::index_t>(r.pi.size()));
-    results.push_back(std::move(r));
-  }
-  return results;
-}
 
 // ---------------------------------------------------------------------------
 // Sharded parallel sweep engine

@@ -8,7 +8,6 @@
 #include <optional>
 #include <vector>
 
-#include "ctmc/qbd.hpp"
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
 
@@ -20,7 +19,6 @@ std::string_view to_string(SteadyStateMethod m) noexcept {
     case SteadyStateMethod::kDenseLu: return "dense-lu";
     case SteadyStateMethod::kGaussSeidel: return "gauss-seidel";
     case SteadyStateMethod::kPower: return "power";
-    case SteadyStateMethod::kLevelQbd: return "level-qbd";
     case SteadyStateMethod::kNcdAd: return "ncd-ad";
   }
   return "unknown";
@@ -153,11 +151,39 @@ void close_attempt_span(obs::Span& span, const SteadyStateResult& res) {
   span.attr("converged", res.converged ? 1.0 : 0.0);
 }
 
+/// The dense-LU result from a non-singular factorization of A = Q^T with
+/// its last balance equation replaced by sum(pi) = 1 (||A||_1 in a_norm1):
+/// pi = A^{-1} e_n, clamped, normalised, checked and certified. A batched
+/// lane passes its extracted factorization, which holds lu_factor's bits,
+/// so it finishes exactly as the scalar solve does.
+SteadyStateResult dense_lu_result(const linalg::LuFactorization& f, double a_norm1,
+                                  const System& sys, const SteadyStateOptions& opts) {
+  SteadyStateResult res;
+  res.method_used = SteadyStateMethod::kDenseLu;
+  const std::size_t n = static_cast<std::size_t>(sys.n());
+  // The direct path is the one place a condition estimate is nearly free:
+  // Hager's iteration is a handful of O(n^2) triangular solves on a
+  // factorization we already hold.
+  const double condition = opts.certify ? linalg::condest_1(a_norm1, f) : 0.0;
+  Vec b(n, 0.0);
+  b[n - 1] = 1.0;
+  res.pi = f.solve(b);
+  for (double& v : res.pi) v = std::max(v, 0.0);
+  linalg::normalize_l1(res.pi);
+  Vec scratch(n);
+  const CsrMatrix& qt = sys.q.transpose_cache();
+  res.residual = balance_residual(qt, res.pi, scratch);
+  res.converged = std::isfinite(res.residual) &&
+                  res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
+  res.iterations = 1;
+  certify_result(res, qt, sys, opts, condition);
+  note_attempt(res);
+  return res;
+}
+
 SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& opts) {
   obs::Span span("solve/dense-lu");
   span.attr("n", static_cast<double>(sys.n()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kDenseLu;
   const std::size_t n = static_cast<std::size_t>(sys.n());
   // A = Q^T with the last balance equation replaced by sum(pi) = 1.
   linalg::DenseMatrix a(n, n);
@@ -171,29 +197,14 @@ SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& op
   }
   for (std::size_t j = 0; j < n; ++j) a(n - 1, j) = 1.0;
   const double a_norm1 = opts.certify ? linalg::norm1(a) : 0.0;
-  Vec b(n, 0.0);
-  b[n - 1] = 1.0;
   const linalg::LuFactorization f = linalg::lu_factor(std::move(a));
+  SteadyStateResult res;
   if (f.singular()) {
+    res.method_used = SteadyStateMethod::kDenseLu;
     note_attempt(res);
-    close_attempt_span(span, res);
-    return res;
+  } else {
+    res = dense_lu_result(f, a_norm1, sys, opts);
   }
-  // The direct path is the one place a condition estimate is nearly free:
-  // Hager's iteration is a handful of O(n^2) triangular solves on a
-  // factorization we already hold.
-  const double condition = opts.certify ? linalg::condest_1(a_norm1, f) : 0.0;
-  res.pi = f.solve(b);
-  for (double& v : res.pi) v = std::max(v, 0.0);
-  linalg::normalize_l1(res.pi);
-  Vec scratch(n);
-  const CsrMatrix& qt = q.transpose_cache();
-  res.residual = balance_residual(qt, res.pi, scratch);
-  res.converged = std::isfinite(res.residual) &&
-                  res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
-  res.iterations = 1;
-  certify_result(res, qt, sys, opts, condition);
-  note_attempt(res);
   close_attempt_span(span, res);
   return res;
 }
@@ -406,39 +417,10 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
   return res;
 }
 
-/// Direct solve on the generator's BFS level (QBD) structure. Exact like
-/// dense LU but with per-level dense blocks, so cost scales with the level
-/// width, not the chain size. A structural failure (edge skipping a level,
-/// singular Schur complement) yields an unconverged result with an
-/// infinite residual — the kAuto chain treats it like any divergence.
-SteadyStateResult solve_level_qbd(const System& sys, const SteadyStateOptions& opts,
-                                  const QbdStructure& structure) {
-  obs::Span span("solve/level-qbd");
-  span.attr("n", static_cast<double>(sys.n()));
-  span.attr("max_block", static_cast<double>(structure.max_block));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kLevelQbd;
-  res.residual = std::numeric_limits<double>::infinity();
-  Vec pi;
-  if (structure.usable() && qbd_steady_state(sys.q, structure, pi)) {
-    res.pi = std::move(pi);
-    Vec scratch(res.pi.size());
-    const CsrMatrix& qt = sys.q.transpose_cache();
-    res.residual = balance_residual(qt, res.pi, scratch);
-    res.converged = std::isfinite(res.residual) &&
-                    res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
-    res.iterations = 1;
-    certify_result(res, qt, sys, opts);
-  }
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
-}
-
-/// NCD aggregation-disaggregation on a precomputed partition — the
-/// iterative sibling of solve_level_qbd: the solver's own convergence
-/// claim is re-checked against an independently recomputed balance
-/// residual, and the certificate still decides acceptance in kAuto.
+/// NCD aggregation-disaggregation on a precomputed partition: the
+/// solver's own convergence claim is re-checked against an independently
+/// recomputed balance residual, and the certificate still decides
+/// acceptance in kAuto.
 SteadyStateResult solve_ncd_ad(const System& sys, const SteadyStateOptions& opts,
                                const linalg::NcdPartition& part) {
   obs::Span span("solve/ncd-ad");
@@ -468,22 +450,11 @@ SteadyStateResult solve_ncd_ad(const System& sys, const SteadyStateOptions& opts
 /// Largest chain kAuto hands to dense LU: O(n^3) flops and n^2 doubles.
 constexpr index_t kDenseLuMaxStates = 1200;
 
-/// What the gates detected, kept for the stage they let run.
+/// What the gate detected, kept for the stage it lets run.
 struct Detected {
-  QbdStructure qbd;
   linalg::NcdPartition ncd_local;             // detected afresh: no shared cache
   const linalg::NcdPartition* ncd = nullptr;  // the partition the NCD stage solves on
 };
-
-/// The level-QBD gate: the detector declines chains that are not block
-/// tridiagonal or whose levels are too wide to pay off.
-const char* level_qbd_declines(const CsrMatrix& q, const SteadyStateOptions& opts,
-                               Detected& det) {
-  QbdOptions qo;
-  qo.max_block = opts.structured_max_block;
-  det.qbd = detect_qbd(q, qo);
-  return det.qbd.usable() ? nullptr : det.qbd.gate_reason;
-}
 
 /// The NCD gate: declines strongly-coupled chains. A sweep's rebind-aware
 /// cache re-evaluates only the coupling against the current rates.
@@ -509,9 +480,6 @@ struct Stage {
   /// to run. Stages without one always run once enabled.
   const char* (*declines)(const CsrMatrix& q, const SteadyStateOptions& opts,
                           Detected& det) = nullptr;
-  /// The gate reads the rates, not just the sparsity pattern, so a batch
-  /// cannot decide it once for all of its lanes.
-  bool gate_reads_values = false;
   SteadyStateResult (*run)(const System& sys, const SteadyStateOptions& opts,
                            const Detected& det);
   /// A last-resort stage starts from the best earlier last-resort π, and
@@ -527,29 +495,18 @@ struct Stage {
 
 bool always(index_t, const SteadyStateOptions&) { return true; }
 
-// Level-QBD first: exact and cheap on narrow level structure. NCD-AD next,
-// for the weakly-coupled chains the QBD bandwidth guard rejects; chains
-// below min_states skip even its detection, so small chains carry no NCD
-// entry in their attempt lists. Then LU for small chains, Gauss-Seidel, and
-// power iteration, which converges on every irreducible chain given enough
-// iterations. Every result is certified, so a misdetection or a singular
-// block costs a fallthrough, never a wrong answer.
+// NCD-AD first, for weakly-coupled chains; chains below min_states skip
+// even its detection, so small chains carry no NCD entry in their attempt
+// lists. Then LU for small chains, Gauss-Seidel, and power iteration,
+// which converges on every irreducible chain given enough iterations.
+// Every result is certified, so a misjudged partition or a singular
+// factorisation costs a fallthrough, never a wrong answer.
 constexpr Stage kAutoChain[] = {
-    {.method = SteadyStateMethod::kLevelQbd,
-     .enabled = [](index_t, const SteadyStateOptions& o) { return o.structured; },
-     .declines = level_qbd_declines,
-     .run = [](const System& sys, const SteadyStateOptions& o, const Detected& det) {
-       return solve_level_qbd(sys, o, det.qbd);
-     },
-     .used = "ctmc.steady_state.structured.used",
-     .fallthrough = "ctmc.steady_state.structured.fallthrough",
-     .declined = "ctmc.steady_state.structured.declined"},
     {.method = SteadyStateMethod::kNcdAd,
      .enabled = [](index_t n, const SteadyStateOptions& o) {
        return o.ncd && n >= o.ncd_opts.min_states;
      },
      .declines = ncd_declines,
-     .gate_reads_values = true,
      .run = [](const System& sys, const SteadyStateOptions& o, const Detected& det) {
        return solve_ncd_ad(sys, o, *det.ncd);
      },
@@ -634,14 +591,6 @@ SteadyStateResult steady_state_impl(const System& sys, const SteadyStateOptions&
     case SteadyStateMethod::kDenseLu: return solve_dense_lu(sys, opts);
     case SteadyStateMethod::kGaussSeidel: return solve_gauss_seidel(sys, opts);
     case SteadyStateMethod::kPower: return solve_power(sys, opts);
-    case SteadyStateMethod::kLevelQbd: {
-      // Explicit request: the profitability gate is the caller's problem;
-      // only the structural requirement (connected block tridiagonal) and
-      // the memory cap still apply.
-      QbdOptions qo;
-      qo.max_block = opts.structured_max_block > 0 ? opts.structured_max_block : sys.n();
-      return solve_level_qbd(sys, opts, detect_qbd(sys.q, qo));
-    }
     case SteadyStateMethod::kNcdAd: {
       // Explicit request: skip the profitability gate; the structural
       // requirement (>= 2 blocks) is enforced by ncd_steady_state itself,
@@ -657,72 +606,10 @@ SteadyStateResult steady_state_impl(const System& sys, const SteadyStateOptions&
   return solve_auto(sys, opts);
 }
 
-}  // namespace
-
-SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOptions& opts) {
-  assert(q.rows() > 0 && q.rows() == q.cols());
-  obs::Span root_span("ctmc/steady_state");
-  root_span.attr("n", static_cast<double>(q.rows()));
-  root_span.attr("method", to_string(opts.method));
-  const std::uint64_t start_ns = obs::now_ns();
-  if (opts.initial_guess) {
-    obs::count(opts.initial_guess->size() == static_cast<std::size_t>(q.rows())
-                   ? "ctmc.steady_state.warm_start.hits"
-                   : "ctmc.steady_state.warm_start.misses");
-  }
-  const System sys(q);
-  SteadyStateResult res = steady_state_impl(sys, opts);
-  root_span.attr("method_used", to_string(res.method_used));
-  if (obs::metrics_on()) {
-    obs::count("ctmc.steady_state.solves");
-    obs::SolveRecord rec;
-    rec.context = "steady_state";
-    rec.method = to_string(res.method_used);
-    rec.n = q.rows();
-    rec.iterations = res.iterations;
-    rec.residual = res.residual;
-    rec.relative_residual = res.residual / std::max(1.0, sys.max_exit);
-    rec.converged = res.converged;
-    rec.diverged = !std::isfinite(res.residual);
-    rec.certified = res.certificate.ok();
-    rec.condition = res.certificate.condition;
-    rec.wall_ms = static_cast<double>(obs::now_ns() - start_ns) / 1e6;
-    append_attempts(rec, res.attempts);
-    obs::record_solve(std::move(rec));
-  }
-  return res;
-}
-
-SteadyStateResult steady_state(const Ctmc& chain, const SteadyStateOptions& opts) {
-  assert(chain.n_states() > 0);
-  return steady_state(chain.generator(), opts);
-}
-
-namespace {
-
-/// Finish one lane of a batched direct solve exactly the way the scalar
-/// solver finishes: clamp/normalise, recompute the balance residual from
-/// the lane's own transpose, apply the convergence test, stamp the
-/// per-point certificate. `lane_q` is the lane's standalone matrix, so
-/// every downstream bit equals the scalar path's.
-void finish_direct_lane(SteadyStateResult& res, const CsrMatrix& lane_q,
-                        const System& sys, const SteadyStateOptions& opts,
-                        double condition) {
-  Vec scratch(res.pi.size());
-  const CsrMatrix& qt = lane_q.transpose_cache();
-  res.residual = balance_residual(qt, res.pi, scratch);
-  res.converged = std::isfinite(res.residual) &&
-                  res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
-  res.iterations = 1;
-  certify_result(res, qt, sys, opts, condition);
-  note_attempt(res);
-}
-
-/// Mirror of the public steady_state()'s SolveRecord emission for one lane
-/// of a batched solve; wall time covers the lane's own finishing work (the
-/// shared factorisation is amortised across the batch and not attributed).
-void record_batch_lane(const SteadyStateResult& res, index_t n, double max_exit,
-                       std::uint64_t start_ns) {
+/// The SolveRecord one solve leaves in the telemetry; wall time runs from
+/// `start_ns`.
+void record_steady_state(const SteadyStateResult& res, index_t n, double max_exit,
+                         std::uint64_t start_ns) {
   if (!obs::metrics_on()) return;
   obs::count("ctmc.steady_state.solves");
   obs::SolveRecord rec;
@@ -741,28 +628,45 @@ void record_batch_lane(const SteadyStateResult& res, index_t n, double max_exit,
   obs::record_solve(std::move(rec));
 }
 
+/// Whether dense LU is the first stage kAuto runs on an n-state chain. The
+/// stage ahead of it, NCD-AD, gates on the rates, so a batch can decide
+/// once for all of its lanes only when that stage is out of range.
+bool dense_lu_first(index_t n, const SteadyStateOptions& opts) {
+  for (const Stage& stage : kAutoChain) {
+    if (stage.enabled(n, opts)) return stage.method == SteadyStateMethod::kDenseLu;
+  }
+  return false;
+}
+
 /// Storage cap for the batched dense factorisation (doubles). Above this
 /// the lanes solve one by one through the scalar path instead — same bits,
 /// just without the lockstep speedup.
 constexpr std::size_t kDenseBatchCapDoubles = 16ull << 20;  // 128 MiB
 
-/// The stage kAuto runs first on every lane of a batch, decided once from
-/// the shared pattern, with the gate-declined attempts the scalar chain
-/// records ahead of it. nullptr when a gate on the way reads the rates:
-/// each lane then walks the chain on its own.
-const Stage* first_batch_stage(const CsrMatrix& pattern, const SteadyStateOptions& opts,
-                               Detected& det, std::vector<SteadyStateAttempt>& declined) {
-  for (const Stage& stage : kAutoChain) {
-    if (!stage.enabled(pattern.rows(), opts)) continue;
-    if (stage.gate_reads_values) return nullptr;
-    const char* reason = stage.declines ? stage.declines(pattern, opts, det) : nullptr;
-    if (!reason) return &stage;
-    declined.push_back(gated_attempt(stage.method, reason));
+}  // namespace
+
+SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOptions& opts) {
+  assert(q.rows() > 0 && q.rows() == q.cols());
+  obs::Span root_span("ctmc/steady_state");
+  root_span.attr("n", static_cast<double>(q.rows()));
+  root_span.attr("method", to_string(opts.method));
+  const std::uint64_t start_ns = obs::now_ns();
+  if (opts.initial_guess) {
+    obs::count(opts.initial_guess->size() == static_cast<std::size_t>(q.rows())
+                   ? "ctmc.steady_state.warm_start.hits"
+                   : "ctmc.steady_state.warm_start.misses");
   }
-  return nullptr;
+  const System sys(q);
+  SteadyStateResult res = steady_state_impl(sys, opts);
+  root_span.attr("method_used", to_string(res.method_used));
+  record_steady_state(res, q.rows(), sys.max_exit, start_ns);
+  return res;
 }
 
-}  // namespace
+SteadyStateResult steady_state(const Ctmc& chain, const SteadyStateOptions& opts) {
+  assert(chain.n_states() > 0);
+  return steady_state(chain.generator(), opts);
+}
 
 std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& vals,
                                                   const SteadyStateOptions& opts) {
@@ -777,83 +681,16 @@ std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& v
   root_span.attr("width", static_cast<double>(w));
   root_span.attr("method", to_string(opts.method));
 
-  // Warm-start chaining in lane order: lane b starts from the last
-  // converged lane before it, exactly like consecutive points of a scalar
-  // sweep. Direct solves ignore the guess, but a lane that escalates to
-  // the iterative chain must see the guess the scalar sequence would have.
-  std::optional<Vec> guess = opts.initial_guess;
-  const auto scalar_lane = [&](std::size_t b) {
-    const CsrMatrix lane_q = vals.lane_matrix(b);
-    SteadyStateOptions lo = opts;
-    lo.initial_guess = guess;
-    SteadyStateResult r = steady_state(lane_q, lo);
-    if (r.converged) guess = r.pi;
-    return r;
-  };
-
-  // The batched path covers the direct solvers; an explicit iterative
-  // method is inherently sequential per lane and simply runs the scalar
-  // solver lane by lane.
-  const bool direct_eligible = opts.method == SteadyStateMethod::kAuto ||
-                               opts.method == SteadyStateMethod::kLevelQbd ||
-                               opts.method == SteadyStateMethod::kDenseLu;
-  if (!direct_eligible || w == 1) {
-    for (std::size_t b = 0; b < w; ++b) out[b] = scalar_lane(b);
-    return out;
-  }
-
-  // Which direct solver the batch runs. Level-QBD detection and the
-  // elimination plan are pattern-only, so one detect + one plan serve every
-  // lane; the scalar solver would have reached the identical decision at
-  // each point. kAuto batches its first stage only when that is a direct
-  // one, and a lane-level failure escalates through the scalar chain, so
-  // the lane's attempt list matches the scalar solver's.
-  Detected det;
-  std::vector<SteadyStateAttempt> declined;  // kAuto's attempts ahead of it
-  SteadyStateMethod batched = opts.method;
-  if (opts.method == SteadyStateMethod::kAuto) {
-    const Stage* first = first_batch_stage(pattern, opts, det, declined);
-    batched = first ? first->method : SteadyStateMethod::kAuto;
-  } else if (opts.method == SteadyStateMethod::kLevelQbd) {
-    QbdOptions qo;
-    qo.max_block = opts.structured_max_block > 0 ? opts.structured_max_block : pattern.rows();
-    det.qbd = detect_qbd(pattern, qo);
-  }
-
+  // Lanes are factored in lockstep only when dense LU is the first stage
+  // the request runs; the scalar solver would start there at every point,
+  // so each lane's attempt list is the scalar one. Every other request,
+  // and any lane the batch cannot accept (singular, failed certificate
+  // under kAuto), runs the scalar chain lane by lane.
   std::vector<unsigned char> done(w, 0);
-
-  const QbdStructure& structure = det.qbd;
-  if (batched == SteadyStateMethod::kLevelQbd && structure.usable() &&
-      structure.factor_doubles * w <= QbdOptions{}.max_factor_doubles) {
-    const QbdPlan plan = make_qbd_plan(pattern, structure);
-    if (plan.ok) {
-      std::vector<Vec> pis(w);
-      const std::vector<unsigned char> ok = qbd_steady_state_batch(structure, plan, vals, pis);
-      for (std::size_t b = 0; b < w; ++b) {
-        if (!ok[b]) continue;  // scalar chain re-derives the failure
-        const std::uint64_t lane_start = obs::now_ns();
-        const CsrMatrix lane_q = vals.lane_matrix(b);
-        const System sys(lane_q);
-        SteadyStateResult res;
-        res.method_used = SteadyStateMethod::kLevelQbd;
-        res.pi = std::move(pis[b]);
-        finish_direct_lane(res, lane_q, sys, opts, 0.0);
-        // An explicit kLevelQbd request returns whatever the solver
-        // produced; kAuto only keeps lanes that pass certification and
-        // sends the rest through the scalar chain (which repeats the
-        // identical failing attempt, preserving the attempt list).
-        if (opts.method == SteadyStateMethod::kLevelQbd || accepted(res, opts)) {
-          if (opts.method == SteadyStateMethod::kAuto)
-            obs::count("ctmc.steady_state.structured.used");
-          record_batch_lane(res, pattern.rows(), sys.max_exit, lane_start);
-          out[b] = std::move(res);
-          done[b] = 1;
-        }
-      }
-    }
-  }
-
-  if (batched == SteadyStateMethod::kDenseLu && n * n * w <= kDenseBatchCapDoubles) {
+  const bool dense_first =
+      opts.method == SteadyStateMethod::kDenseLu ||
+      (opts.method == SteadyStateMethod::kAuto && dense_lu_first(pattern.rows(), opts));
+  if (dense_first && w > 1 && n * n * w <= kDenseBatchCapDoubles) {
     obs::Span span("solve/dense-lu-batch");
     span.attr("n", static_cast<double>(n));
     span.attr("width", static_cast<double>(w));
@@ -893,38 +730,32 @@ std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& v
     for (std::size_t b = 0; b < w; ++b) {
       if (f.singular(b)) continue;  // scalar chain re-derives the failure
       const std::uint64_t lane_start = obs::now_ns();
+      // The lane's standalone matrix, so the residual, certificate and
+      // every other downstream bit equal the scalar path's.
       const CsrMatrix lane_q = vals.lane_matrix(b);
       const System sys(lane_q);
-      SteadyStateResult res;
-      res.attempts = declined;
-      res.method_used = SteadyStateMethod::kDenseLu;
-      // The extracted scalar factorization is bit-identical to lu_factor's,
-      // so the scalar substitution and Hager condition code run verbatim.
-      const linalg::LuFactorization lf = f.extract_lane(b);
-      const double condition = opts.certify ? linalg::condest_1(a_norm1[b], lf) : 0.0;
-      Vec rhs(n, 0.0);
-      rhs[n - 1] = 1.0;
-      res.pi = lf.solve(rhs);
-      for (double& x : res.pi) x = std::max(x, 0.0);
-      linalg::normalize_l1(res.pi);
-      finish_direct_lane(res, lane_q, sys, opts, condition);
+      SteadyStateResult res = dense_lu_result(f.extract_lane(b), a_norm1[b], sys, opts);
       if (opts.method == SteadyStateMethod::kDenseLu || accepted(res, opts)) {
-        record_batch_lane(res, pattern.rows(), sys.max_exit, lane_start);
+        record_steady_state(res, pattern.rows(), sys.max_exit, lane_start);
         out[b] = std::move(res);
         done[b] = 1;
       }
     }
   }
 
-  // Sweep the lanes in ascending order: completed lanes feed the warm-start
-  // chain, everything else runs the full scalar solver with the guess the
-  // scalar sequence would have carried to that point.
+  // Walk the lanes in ascending order, chaining warm starts like
+  // consecutive points of a scalar sweep: lane b starts from the last
+  // converged lane before it (from opts.initial_guess for the first). Direct
+  // solves ignore the guess, but a lane that runs the scalar chain must see
+  // the guess the scalar sequence would have carried to that point.
+  std::optional<Vec> guess = opts.initial_guess;
   for (std::size_t b = 0; b < w; ++b) {
-    if (done[b]) {
-      if (out[b].converged) guess = out[b].pi;
-      continue;
+    if (!done[b]) {
+      SteadyStateOptions lo = opts;
+      lo.initial_guess = guess;
+      out[b] = steady_state(vals.lane_matrix(b), lo);
     }
-    out[b] = scalar_lane(b);
+    if (out[b].converged) guess = out[b].pi;
   }
   return out;
 }

@@ -15,17 +15,12 @@
 //                   check reads the same copy (same bits as over Q^T).
 //  * kPower       — power iteration on the uniformized DTMC
 //                   P = I + Q/Lambda; slowest but unconditionally stable.
-//  * kLevelQbd    — block-tridiagonal direct solve on the BFS level (QBD)
-//                   structure of the generator (see ctmc/qbd.hpp); exact in
-//                   one pass when the chain is level-structured with narrow
-//                   levels, declined otherwise.
 //  * kNcdAd       — iterative aggregation-disaggregation on a nearly-
 //                   completely-decomposable block partition (see
 //                   linalg/ncd.hpp); a handful of censored block sweeps plus
 //                   a coarse dense solve per pass when inter-block coupling
 //                   is weak, declined on strongly-coupled chains.
-//  * kAuto        — one fixed stage table: level-QBD when detection and its
-//                   cost gate succeed, then NCD aggregation-disaggregation
+//  * kAuto        — one fixed stage table: NCD aggregation-disaggregation
 //                   when its coupling gate accepts, then LU for small chains,
 //                   then Gauss-Seidel, then power iteration from
 //                   Gauss-Seidel's pi as the last resort. Escalation is
@@ -48,15 +43,14 @@
 
 namespace tags::ctmc {
 
-/// The numeric values are stable: 4 belonged to the removed GMRES method
-/// and stays unused, so printed values and test-case names keep meaning
-/// the same method.
+/// The numeric values are stable: 4 and 5 belonged to the removed GMRES
+/// and level-QBD methods and stay unused, so printed values and test-case
+/// names keep meaning the same method.
 enum class SteadyStateMethod {
   kAuto = 0,
   kDenseLu = 1,
   kGaussSeidel = 2,
   kPower = 3,
-  kLevelQbd = 5,
   kNcdAd = 6,
 };
 
@@ -69,15 +63,6 @@ struct SteadyStateOptions {
   /// Warm start (e.g. the solution at a nearby parameter point). Must have
   /// n_states entries; it is normalised internally.
   std::optional<linalg::Vec> initial_guess;
-  /// Let kAuto try the structured (level/QBD) direct solver first when the
-  /// detector finds narrow block-tridiagonal structure. Misdetection is
-  /// safe — every structured result must pass certification or the chain
-  /// falls through — so this is on by default.
-  bool structured = true;
-  /// Override for the detector's profitability gate (largest admissible
-  /// level size); 0 keeps the built-in default. An explicit kLevelQbd
-  /// request ignores the gate entirely.
-  linalg::index_t structured_max_block = 0;
   /// Stamp every attempt with a certificate (true-residual recompute,
   /// non-finite guard, probability-mass check, condition estimate on the
   /// dense-LU path). kAuto escalates on certification failure, not just on
@@ -86,9 +71,9 @@ struct SteadyStateOptions {
   /// Certification bounds. residual_bound is *relative*: it is multiplied
   /// by max(1, max exit rate), matching how solver tolerances scale.
   linalg::CertifyOptions certify_opts{.residual_bound = 1e-6};
-  /// Let kAuto try NCD aggregation-disaggregation when the QBD gate
-  /// declines. Same safety argument as `structured`: a stale or misjudged
-  /// partition costs a fallthrough, never a wrong answer.
+  /// Let kAuto try NCD aggregation-disaggregation first when its coupling
+  /// gate accepts. Every result must pass certification, so a stale or
+  /// misjudged partition costs a fallthrough, never a wrong answer.
   bool ncd = true;
   /// Detection thresholds and the coupling/profitability gate for the NCD
   /// partition (see linalg/ncd.hpp). Chains below ncd_opts.min_states skip
@@ -106,9 +91,8 @@ struct SteadyStateAttempt {
   int iterations = 0;
   double residual = 0.0;
   bool converged = false;
-  /// Why a gated fast path (kLevelQbd, kNcdAd) was declined without
-  /// running: the detector's verdict, e.g. "level-too-wide" or
-  /// "strong-coupling". Empty for attempts that actually executed. Makes
+  /// Why a gated fast path (kNcdAd) was declined without running: the
+  /// detector's verdict, e.g. "one-block" or "strong-coupling". Empty for attempts that actually executed. Makes
   /// "why didn't the fast path fire?" answerable from telemetry — gated
   /// methods used to vanish from the attempt list entirely.
   std::string gate_reason;
@@ -127,9 +111,9 @@ struct SteadyStateResult {
   linalg::Certificate certificate;
   /// Every method attempted, in order; the last entry is method_used.
   /// A single-method request yields one entry; kAuto records its whole
-  /// fallback chain (level-QBD, NCD-AD, LU, Gauss-Seidel, power
-  /// iteration), including gate-declined fast paths (entries with a
-  /// non-empty gate_reason, which never count as executed methods).
+  /// fallback chain (NCD-AD, LU, Gauss-Seidel, power iteration),
+  /// including a gate-declined fast path (an entry with a non-empty
+  /// gate_reason, which never counts as an executed method).
   std::vector<SteadyStateAttempt> attempts;
 };
 
@@ -143,16 +127,17 @@ struct SteadyStateResult {
                                              const SteadyStateOptions& opts = {});
 
 /// Batched multi-point solve: W generators sharing one frozen sparsity
-/// pattern (a linalg::CsrValueBatch) solved together. The direct solvers
-/// (level-QBD, dense LU) factor all W systems in SIMD lockstep; lane b's
-/// result — pi, residual, certificate, attempt list — is bit-identical to
-/// `steady_state(<lane b's matrix>, <lane b's options>)`, where lane b's
-/// initial guess chains through the batch exactly like a scalar sweep
-/// (the last converged lane before b, starting from opts.initial_guess).
-/// Certification stays per point: every lane gets its own independently
-/// recomputed certificate, and any lane the batched direct path cannot
-/// accept (singular block, failed certificate, iterative method requested)
-/// falls back to the full scalar kAuto chain for that lane alone.
+/// pattern (a linalg::CsrValueBatch) solved together. When dense LU is the
+/// first stage the request runs (kDenseLu, or kAuto on a chain of at most
+/// 1200 states with NCD-AD out of range), all W systems are factored in
+/// SIMD lockstep; lane b's result — pi, residual, certificate, attempt
+/// list — is bit-identical to `steady_state(<lane b's matrix>, <lane b's
+/// options>)`, where lane b's initial guess chains through the batch
+/// exactly like a scalar sweep (the last converged lane before b, starting
+/// from opts.initial_guess). Certification stays per point: every lane gets
+/// its own independently recomputed certificate, and any lane the batched
+/// factorisation cannot accept (singular, failed certificate), like every
+/// lane of any other request, runs the full scalar chain on its own.
 [[nodiscard]] std::vector<SteadyStateResult> steady_state_batch(
     const linalg::CsrValueBatch& vals, const SteadyStateOptions& opts = {});
 

@@ -52,10 +52,10 @@ struct LaneBuf<T, 0> {
   std::vector<T> v;
 };
 
-// Run-fused subtraction terms. Substitution and trailing-update loops all
-// reduce to `dst -= l * src` streams over one destination row; with one
-// store per term they are store-port-bound at exactly the scalar kernel's
-// throughput, so lane-widening alone gains nothing. Fusing a run of kRun
+// Run-fused subtraction terms. The deferred trailing update reduces to
+// `dst -= l * src` streams over one destination row; with one store per
+// term it is store-port-bound at exactly the scalar kernel's throughput,
+// so lane-widening alone gains nothing. Fusing a run of kRun
 // terms keeps the destination lane group in a stack accumulator across the
 // run — one load+store of dst per kRun terms — which moves the loops to
 // the mul/sub ALU limit instead. Bit parity holds because the terms still
@@ -130,7 +130,7 @@ template <std::size_t W>
 // movement, so applying a panel's swaps to the outside columns after the
 // panel — the LAPACK getrf arrangement — permutes the same values through
 // the same arithmetic.
-// Each kernel is a width-templated impl behind a thin dispatching clone:
+// The kernel is a width-templated impl behind a thin dispatching clone:
 // with W fixed at compile time the lane loops unroll into single wide
 // vector ops (a W=8 lane group is exactly one zmm register), where a
 // runtime trip count would leave the vectorizer emitting prologue checks
@@ -327,245 +327,6 @@ TAGS_BATCH_KERNEL void factor_kernel(double* a, std::size_t m, std::size_t w,
   }
 }
 
-template <std::size_t W>
-[[gnu::always_inline]] inline void multi_rhs_impl(const double* a,
-                                                  const std::size_t* piv,
-                                                  std::size_t n, std::size_t w_rt,
-                                                  double* bmat, std::size_t nc) {
-  const std::size_t w = W != 0 ? W : w_rt;
-  const auto row = [&](std::size_t i) { return bmat + i * nc * w; };
-  // Per-lane row permutation (pivot choices differ across lanes).
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t b = 0; b < w; ++b) {
-      const std::size_t p = piv[i * w + b];
-      if (p == i) continue;
-      double* ri = row(i);
-      double* rp = row(p);
-      for (std::size_t c = 0; c < nc; ++c) std::swap(ri[c * w + b], rp[c * w + b]);
-    }
-  }
-  // The scalar kernel skips a whole RHS row when the multiplier is zero;
-  // per lane that becomes a select on the lane's own multiplier, which
-  // preserves its bits exactly. Lanes share the pattern's structural
-  // zeros, so most multiplier rows are zero (or nonzero) in every lane at
-  // once — the hoisted checks recover the scalar skip wholesale.
-  const auto classify = [&](const double* lane_vals, bool& all_zero, bool& any_zero) {
-    all_zero = true;
-    any_zero = false;
-    for (std::size_t b = 0; b < w; ++b) {
-      all_zero &= lane_vals[b] == 0.0;
-      any_zero |= lane_vals[b] == 0.0;
-    }
-  };
-  // Column tiles keep the substituted RHS block L2-resident while the
-  // factor streams over it (the whole n x nc x W block is ~8x the scalar
-  // working set and would thrash from L3 otherwise). Columns substitute
-  // independently with unchanged per-column operation order, so the tile
-  // split cannot change any bits — the scalar kernel's own column chunks
-  // rely on the same fact.
-  const std::size_t tile =
-      std::max<std::size_t>(4, (std::size_t{1} << 20) / (n * w * 8));
-  // The factor's lane groups are copied into stack buffers before the
-  // column streams: the compiler cannot prove a bare `a` pointer disjoint
-  // from the `bmat` stores, so reading the multipliers through it would
-  // force a reload per column and defeat the vectoriser (see LaneBuf
-  // above). Rows whose multiplier is nonzero in every lane fuse into
-  // kRun-term runs (ascending j, see apply_run_r); mixed rows apply alone
-  // as selects between the runs, in their own j positions.
-  LaneBuf<double, W> lv(w);
-  LaneBuf<double, W> inv(w);
-  LaneBuf<double, W ? kRun * W : 0> runl(kRun * w);
-  const double* runsrc[kRun];
-  for (std::size_t c0 = 0; c0 < nc; c0 += tile) {
-    const std::size_t c1 = std::min(nc, c0 + tile);
-    // Forward substitution with unit-diagonal L.
-    for (std::size_t i = 1; i < n; ++i) {
-      double* ri = row(i);
-      std::size_t nrun = 0;
-      for (std::size_t j = 0; j < i; ++j) {
-        const double* lj = a + (i * n + j) * w;
-        bool all_zero = false, any_zero = false;
-        classify(lj, all_zero, any_zero);
-        if (all_zero) continue;
-        if (any_zero) {
-          apply_run<W>(ri, runsrc, runl.data(), nrun, w, c0, c1);
-          nrun = 0;
-          for (std::size_t b = 0; b < w; ++b) lv[b] = lj[b];
-          apply_select<W>(ri, row(j), lv.data(), w, c0, c1);
-          continue;
-        }
-        for (std::size_t b = 0; b < w; ++b) runl[nrun * w + b] = lj[b];
-        runsrc[nrun++] = row(j);
-        if (nrun == kRun) {
-          apply_run<W>(ri, runsrc, runl.data(), kRun, w, c0, c1);
-          nrun = 0;
-        }
-      }
-      apply_run<W>(ri, runsrc, runl.data(), nrun, w, c0, c1);
-    }
-    // Back substitution with U.
-    for (std::size_t ii = n; ii-- > 0;) {
-      double* ri = row(ii);
-      std::size_t nrun = 0;
-      for (std::size_t j = ii + 1; j < n; ++j) {
-        const double* uj = a + (ii * n + j) * w;
-        bool all_zero = false, any_zero = false;
-        classify(uj, all_zero, any_zero);
-        if (all_zero) continue;
-        if (any_zero) {
-          apply_run<W>(ri, runsrc, runl.data(), nrun, w, c0, c1);
-          nrun = 0;
-          for (std::size_t b = 0; b < w; ++b) lv[b] = uj[b];
-          apply_select<W>(ri, row(j), lv.data(), w, c0, c1);
-          continue;
-        }
-        for (std::size_t b = 0; b < w; ++b) runl[nrun * w + b] = uj[b];
-        runsrc[nrun++] = row(j);
-        if (nrun == kRun) {
-          apply_run<W>(ri, runsrc, runl.data(), kRun, w, c0, c1);
-          nrun = 0;
-        }
-      }
-      apply_run<W>(ri, runsrc, runl.data(), nrun, w, c0, c1);
-      const double* d = a + (ii * n + ii) * w;
-      for (std::size_t b = 0; b < w; ++b) inv[b] = 1.0 / d[b];
-      for (std::size_t c = c0; c < c1; ++c) {
-        double* vi = ri + c * w;
-        for (std::size_t b = 0; b < w; ++b) vi[b] *= inv[b];
-      }
-    }
-  }
-}
-
-TAGS_BATCH_KERNEL void multi_rhs_kernel(const double* a, const std::size_t* piv,
-                                        std::size_t n, std::size_t w,
-                                        double* bmat, std::size_t nc) {
-  switch (w) {
-    case 1: multi_rhs_impl<1>(a, piv, n, w, bmat, nc); break;
-    case 2: multi_rhs_impl<2>(a, piv, n, w, bmat, nc); break;
-    case 3: multi_rhs_impl<3>(a, piv, n, w, bmat, nc); break;
-    case 4: multi_rhs_impl<4>(a, piv, n, w, bmat, nc); break;
-    case 5: multi_rhs_impl<5>(a, piv, n, w, bmat, nc); break;
-    case 6: multi_rhs_impl<6>(a, piv, n, w, bmat, nc); break;
-    case 7: multi_rhs_impl<7>(a, piv, n, w, bmat, nc); break;
-    case 8: multi_rhs_impl<8>(a, piv, n, w, bmat, nc); break;
-    default: multi_rhs_impl<0>(a, piv, n, w, bmat, nc); break;
-  }
-}
-
-template <std::size_t W>
-[[gnu::always_inline]] inline void solve_lanes_impl(const double* a,
-                                                    const std::size_t* piv,
-                                                    std::size_t n,
-                                                    std::size_t w_rt, double* xd) {
-  const std::size_t w = W != 0 ? W : w_rt;
-  // Per-lane row permutation (pivot choices differ across lanes).
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t b = 0; b < w; ++b) {
-      const std::size_t p = piv[k * w + b];
-      if (p != k) std::swap(xd[k * w + b], xd[p * w + b]);
-    }
-  }
-  // Forward then backward substitution, all lanes in lockstep; per lane
-  // this is LuFactorization::solve_in_place verbatim (local accumulator,
-  // no zero skips), so each lane's bits equal the scalar solve. The W
-  // accumulator chains are independent, which also breaks the scalar
-  // kernel's one-FLOP-per-cycle latency chain. A singular lane divides by
-  // its zero pivot and produces garbage in its own lane only.
-  LaneBuf<double, W> acc(w);
-  for (std::size_t i = 1; i < n; ++i) {
-    double* xi = xd + i * w;
-    for (std::size_t b = 0; b < w; ++b) acc[b] = xi[b];
-    for (std::size_t j = 0; j < i; ++j) {
-      const double* lij = a + (i * n + j) * w;
-      const double* xj = xd + j * w;
-      for (std::size_t b = 0; b < w; ++b) acc[b] -= lij[b] * xj[b];
-    }
-    for (std::size_t b = 0; b < w; ++b) xi[b] = acc[b];
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double* xi = xd + ii * w;
-    for (std::size_t b = 0; b < w; ++b) acc[b] = xi[b];
-    for (std::size_t j = ii + 1; j < n; ++j) {
-      const double* uij = a + (ii * n + j) * w;
-      const double* xj = xd + j * w;
-      for (std::size_t b = 0; b < w; ++b) acc[b] -= uij[b] * xj[b];
-    }
-    const double* d = a + (ii * n + ii) * w;
-    for (std::size_t b = 0; b < w; ++b) xi[b] = acc[b] / d[b];
-  }
-}
-
-TAGS_BATCH_KERNEL void solve_lanes_kernel(const double* a, const std::size_t* piv,
-                                          std::size_t n, std::size_t w,
-                                          double* xd) {
-  switch (w) {
-    case 1: solve_lanes_impl<1>(a, piv, n, w, xd); break;
-    case 2: solve_lanes_impl<2>(a, piv, n, w, xd); break;
-    case 3: solve_lanes_impl<3>(a, piv, n, w, xd); break;
-    case 4: solve_lanes_impl<4>(a, piv, n, w, xd); break;
-    case 5: solve_lanes_impl<5>(a, piv, n, w, xd); break;
-    case 6: solve_lanes_impl<6>(a, piv, n, w, xd); break;
-    case 7: solve_lanes_impl<7>(a, piv, n, w, xd); break;
-    case 8: solve_lanes_impl<8>(a, piv, n, w, xd); break;
-    default: solve_lanes_impl<0>(a, piv, n, w, xd); break;
-  }
-}
-
-template <std::size_t W>
-[[gnu::always_inline]] inline void solve_transpose_lanes_impl(
-    const double* a, const std::size_t* piv, std::size_t n, std::size_t w_rt,
-    double* xd) {
-  const std::size_t w = W != 0 ? W : w_rt;
-  LaneBuf<double, W> acc(w);
-  // Mirrors LuFactorization::solve_transpose per lane: U^T forward with
-  // diagonal divide, unit-L^T backward, inverse permutation last.
-  for (std::size_t i = 0; i < n; ++i) {
-    double* xi = xd + i * w;
-    for (std::size_t b = 0; b < w; ++b) acc[b] = xi[b];
-    for (std::size_t j = 0; j < i; ++j) {
-      const double* uji = a + (j * n + i) * w;
-      const double* xj = xd + j * w;
-      for (std::size_t b = 0; b < w; ++b) acc[b] -= uji[b] * xj[b];
-    }
-    const double* d = a + (i * n + i) * w;
-    for (std::size_t b = 0; b < w; ++b) xi[b] = acc[b] / d[b];
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double* xi = xd + ii * w;
-    for (std::size_t b = 0; b < w; ++b) acc[b] = xi[b];
-    for (std::size_t j = ii + 1; j < n; ++j) {
-      const double* lji = a + (j * n + ii) * w;
-      const double* xj = xd + j * w;
-      for (std::size_t b = 0; b < w; ++b) acc[b] -= lji[b] * xj[b];
-    }
-    for (std::size_t b = 0; b < w; ++b) xi[b] = acc[b];
-  }
-  for (std::size_t kk = n; kk-- > 0;) {
-    for (std::size_t b = 0; b < w; ++b) {
-      const std::size_t p = piv[kk * w + b];
-      if (p != kk) std::swap(xd[kk * w + b], xd[p * w + b]);
-    }
-  }
-}
-
-TAGS_BATCH_KERNEL void solve_transpose_lanes_kernel(const double* a,
-                                                    const std::size_t* piv,
-                                                    std::size_t n, std::size_t w,
-                                                    double* xd) {
-  switch (w) {
-    case 1: solve_transpose_lanes_impl<1>(a, piv, n, w, xd); break;
-    case 2: solve_transpose_lanes_impl<2>(a, piv, n, w, xd); break;
-    case 3: solve_transpose_lanes_impl<3>(a, piv, n, w, xd); break;
-    case 4: solve_transpose_lanes_impl<4>(a, piv, n, w, xd); break;
-    case 5: solve_transpose_lanes_impl<5>(a, piv, n, w, xd); break;
-    case 6: solve_transpose_lanes_impl<6>(a, piv, n, w, xd); break;
-    case 7: solve_transpose_lanes_impl<7>(a, piv, n, w, xd); break;
-    case 8: solve_transpose_lanes_impl<8>(a, piv, n, w, xd); break;
-    default: solve_transpose_lanes_impl<0>(a, piv, n, w, xd); break;
-  }
-}
-
 #undef TAGS_BATCH_KERNEL
 
 }  // namespace
@@ -605,100 +366,11 @@ CsrMatrix CsrValueBatch::lane_matrix(std::size_t b) const {
                                  std::move(col), std::move(val));
 }
 
-void CsrValueBatch::multiply(std::span<const double> x, std::span<double> y) const noexcept {
-  const CsrMatrix& p = *pattern_;
-  const std::size_t w = width_;
-  assert(x.size() == static_cast<std::size_t>(p.cols()) * w);
-  assert(y.size() == static_cast<std::size_t>(p.rows()) * w);
-  const index_t n = p.rows();
-  for (index_t i = 0; i < n; ++i) {
-    const auto cs = p.row_cols(i);
-    const std::size_t lo =
-        static_cast<std::size_t>(cs.data() - p.row_cols(0).data());
-    double* yi = y.data() + static_cast<std::size_t>(i) * w;
-    for (std::size_t b = 0; b < w; ++b) yi[b] = 0.0;
-    // Same per-lane accumulation order as CsrMatrix::multiply: entries in
-    // row order, one fused multiply-add... deliberately NOT fused — plain
-    // a*b then += — matching the scalar kernel's rounding exactly.
-    for (std::size_t k = 0; k < cs.size(); ++k) {
-      const double* vk = values_.data() + (lo + k) * w;
-      const double* xk = x.data() + static_cast<std::size_t>(cs[k]) * w;
-      for (std::size_t b = 0; b < w; ++b) yi[b] += vk[b] * xk[b];
-    }
-  }
-}
-
 void BatchLuFactorization::factor_in_place() {
   piv_.assign(m_ * w_, 0);
   singular_.assign(w_, 0);
   any_singular_ = false;
   factor_kernel(a_.data(), m_, w_, piv_.data(), singular_.data(), any_singular_);
-}
-
-void BatchLuFactorization::solve_lane(std::size_t b, std::span<double> x) const {
-  assert(b < w_ && !singular_[b]);
-  const std::size_t n = m_;
-  assert(x.size() == n);
-  const double* a = a_.data();
-  const std::size_t w = w_;
-  const auto lu = [&](std::size_t i, std::size_t j) { return a[(i * n + j) * w + b]; };
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t p = piv_[k * w + b];
-    if (p != k) std::swap(x[k], x[p]);
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    double acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu(i, j) * x[j];
-    x[i] = acc;
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu(ii, j) * x[j];
-    x[ii] = acc / lu(ii, ii);
-  }
-}
-
-Vec BatchLuFactorization::solve_transpose_lane(std::size_t b,
-                                               std::span<const double> rhs) const {
-  assert(b < w_ && !singular_[b]);
-  const std::size_t n = m_;
-  assert(rhs.size() == n);
-  const double* a = a_.data();
-  const std::size_t w = w_;
-  const auto lu = [&](std::size_t i, std::size_t j) { return a[(i * n + j) * w + b]; };
-  Vec x(rhs.begin(), rhs.end());
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu(j, i) * x[j];
-    x[i] = acc / lu(i, i);
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu(j, ii) * x[j];
-    x[ii] = acc;
-  }
-  for (std::size_t kk = n; kk-- > 0;) {
-    const std::size_t p = piv_[kk * w + b];
-    if (p != kk) std::swap(x[kk], x[p]);
-  }
-  return x;
-}
-
-void BatchLuFactorization::solve_in_place_multi_batch(std::span<double> bm,
-                                                      std::size_t nc) const {
-  assert(bm.size() == m_ * nc * w_);
-  if (nc == 0 || m_ == 0) return;
-  multi_rhs_kernel(a_.data(), piv_.data(), m_, w_, bm.data(), nc);
-}
-
-void BatchLuFactorization::solve_all_lanes(std::span<double> x) const {
-  assert(x.size() == m_ * w_);
-  solve_lanes_kernel(a_.data(), piv_.data(), m_, w_, x.data());
-}
-
-void BatchLuFactorization::solve_transpose_all_lanes(std::span<double> x) const {
-  assert(x.size() == m_ * w_);
-  solve_transpose_lanes_kernel(a_.data(), piv_.data(), m_, w_, x.data());
 }
 
 LuFactorization BatchLuFactorization::extract_lane(std::size_t b) const {

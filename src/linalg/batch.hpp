@@ -10,7 +10,7 @@
 // semantics (implemented as a select so the lanes stay in lockstep) — and
 // extract_lane() hands back a scalar LuFactorization whose bits equal what
 // lu_factor would have produced for that lane's matrix alone. That
-// equality is what lets the batched direct solvers promise bit-identical
+// equality is what lets the batched dense-LU solve promise bit-identical
 // results at any batch width (see DESIGN.md "Batched multi-point sweeps").
 #pragma once
 
@@ -37,10 +37,6 @@ class CsrValueBatch {
   /// Copy the value array of `m` (same pattern as pattern()) into lane b.
   void load_lane(std::size_t b, const CsrMatrix& m);
 
-  /// Entry k of lane b.
-  [[nodiscard]] double at(std::size_t k, std::size_t b) const noexcept {
-    return values_[k * width_ + b];
-  }
   [[nodiscard]] std::span<const double> values() const noexcept { return values_; }
 
   /// Scatter lane b back out as a contiguous value array (size nnz).
@@ -51,12 +47,6 @@ class CsrValueBatch {
   /// scalar path would have solved at that point — transpose cache,
   /// diagonal, residuals all included.
   [[nodiscard]] CsrMatrix lane_matrix(std::size_t b) const;
-
-  /// y[:,b] = A_b x[:,b] for every lane at once; x and y are
-  /// lane-interleaved (n x W). Per-lane accumulation order equals
-  /// CsrMatrix::multiply exactly, so each lane's result is bit-identical
-  /// to a scalar SpMV with that lane's values.
-  void multiply(std::span<const double> x, std::span<double> y) const noexcept;
 
  private:
   const CsrMatrix* pattern_;
@@ -95,8 +85,6 @@ class BatchLuFactorization {
     factor_in_place();
   }
 
-  [[nodiscard]] std::size_t dim() const noexcept { return m_; }
-  [[nodiscard]] std::size_t width() const noexcept { return w_; }
   [[nodiscard]] bool singular(std::size_t b) const noexcept { return singular_[b]; }
   [[nodiscard]] bool any_singular() const noexcept { return any_singular_; }
 
@@ -104,36 +92,6 @@ class BatchLuFactorization {
   /// lu_factor(<lane b's matrix>) by construction. Substitutions on the
   /// extracted object therefore reuse the scalar code paths verbatim.
   [[nodiscard]] LuFactorization extract_lane(std::size_t b) const;
-
-  /// In-place solve of lane b's system (mirrors
-  /// LuFactorization::solve_in_place — permutation, unit-L forward, U
-  /// backward, no zero skips). Lane-local: safe to call on any
-  /// non-singular lane of a batch with singular lanes elsewhere.
-  void solve_lane(std::size_t b, std::span<double> x) const;
-
-  /// Solve A_b^T x = rhs for lane b (mirrors solve_transpose).
-  [[nodiscard]] Vec solve_transpose_lane(std::size_t b,
-                                         std::span<const double> rhs) const;
-
-  /// In-place solve for every lane at once over a lane-interleaved RHS
-  /// (m x W, entry i of lane b at x[i*W + b]). Per lane this is
-  /// solve_in_place verbatim — the lockstep loop just streams the
-  /// lane-contiguous factor storage once for all W systems. Singular
-  /// lanes produce garbage in their own lanes only.
-  void solve_all_lanes(std::span<double> x) const;
-
-  /// Lockstep transpose solve over a lane-interleaved RHS (m x W),
-  /// mirroring solve_transpose per lane.
-  void solve_transpose_all_lanes(std::span<double> x) const;
-
-  /// Multi-RHS substitution for every lane at once: bm is lane-interleaved
-  /// (m x nc x W, entry (i, c) of lane b at bm[(i*nc + c)*W + b]) and is
-  /// overwritten with the per-lane solutions. Extends the scalar
-  /// solve_in_place_multi (chunked multi-RHS) across the batch: per-lane
-  /// row permutation, then forward/backward sweeps whose zero-multiplier
-  /// skip is a per-lane select, so each lane's bits equal the scalar
-  /// kernel's. Singular lanes produce garbage in their own lanes only.
-  void solve_in_place_multi_batch(std::span<double> bm, std::size_t nc) const;
 
  private:
   void factor_in_place();

@@ -76,54 +76,6 @@ void LuFactorization::solve_in_place(std::span<double> x) const {
   }
 }
 
-void LuFactorization::solve_in_place_multi(DenseMatrix& b) const {
-  assert(!singular_);
-  const std::size_t n = dim();
-  assert(b.rows() == n);
-  const std::size_t k = b.cols();
-  if (k == 0 || n == 0) return;
-  // Apply the row permutation to whole rows.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (piv_[i] != i) {
-      const auto ri = b.row(i);
-      const auto rp = b.row(piv_[i]);
-      for (std::size_t c = 0; c < k; ++c) std::swap(ri[c], rp[c]);
-    }
-  }
-  // Column chunks substitute independently; the per-entry arithmetic does
-  // not depend on the chunk boundaries, so any chunk count gives the same
-  // bits. 16 chunks keeps all cores busy without re-reading lu_ too often.
-  const std::size_t nchunks = (k >= 32 && n * k > 32768) ? 16 : 1;
-#pragma omp parallel for schedule(static) if (nchunks > 1)
-  for (std::size_t chunk = 0; chunk < nchunks; ++chunk) {
-    const std::size_t c0 = chunk * k / nchunks;
-    const std::size_t c1 = (chunk + 1) * k / nchunks;
-    if (c0 == c1) continue;
-    // Forward substitution with unit-diagonal L.
-    for (std::size_t i = 1; i < n; ++i) {
-      const auto ri = b.row(i);
-      for (std::size_t j = 0; j < i; ++j) {
-        const double l = lu_(i, j);
-        if (l == 0.0) continue;
-        const auto rj = b.row(j);
-        for (std::size_t c = c0; c < c1; ++c) ri[c] -= l * rj[c];
-      }
-    }
-    // Back substitution with U.
-    for (std::size_t ii = n; ii-- > 0;) {
-      const auto ri = b.row(ii);
-      for (std::size_t j = ii + 1; j < n; ++j) {
-        const double u = lu_(ii, j);
-        if (u == 0.0) continue;
-        const auto rj = b.row(j);
-        for (std::size_t c = c0; c < c1; ++c) ri[c] -= u * rj[c];
-      }
-      const double inv = 1.0 / lu_(ii, ii);
-      for (std::size_t c = c0; c < c1; ++c) ri[c] *= inv;
-    }
-  }
-}
-
 Vec LuFactorization::solve_transpose(std::span<const double> b) const {
   assert(!singular_);
   const std::size_t n = dim();

@@ -24,14 +24,6 @@ class LuFactorization {
   /// In-place variant: x holds b on entry, the solution on exit.
   void solve_in_place(std::span<double> x) const;
 
-  /// Solve A X = B for every column of B at once; B is row-major (n x k)
-  /// and is overwritten with X. Much faster than k solve() calls: the
-  /// substitution sweeps stream contiguous rows, vectorising across the
-  /// right-hand sides, and column chunks run in parallel (each entry's
-  /// arithmetic is independent of the chunking, so results are
-  /// bit-identical at any thread count).
-  void solve_in_place_multi(DenseMatrix& b) const;
-
   /// Solve A^T x = b (useful for stationary distributions pi A = 0).
   [[nodiscard]] Vec solve_transpose(std::span<const double> b) const;
 

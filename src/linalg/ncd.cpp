@@ -83,10 +83,10 @@ NcdPartition detect_ncd(const CsrMatrix& q, const NcdOptions& opts) {
     return p;
   }
 
-  // Strong-edge components over the symmetrised pattern, like bfs_levels:
-  // an edge in either direction with rate >= epsilon * scale connects two
-  // states. Seeds scan ascending, so block ids are ordered by smallest
-  // member and the traversal is deterministic.
+  // Strong-edge components over the symmetrised pattern: an edge in
+  // either direction with rate >= epsilon * scale connects two states.
+  // Seeds scan ascending, so block ids are ordered by smallest member and
+  // the traversal is deterministic.
   const double thresh = opts.epsilon * exit_scale(q);
   const CsrMatrix& qt = q.transpose_cache();
   std::vector<index_t> stack;

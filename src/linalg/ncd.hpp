@@ -9,9 +9,9 @@
 // per outer pass, orders of magnitude faster than sweeping the flat chain.
 //
 // Detection runs on the frozen CSR pattern: strongly-coupled components are
-// the connected components of the symmetrised graph restricted to edges
-// with rate >= epsilon * scale (scale = largest exit rate), the same
-// undirected traversal bfs_levels uses. The partition is cached rebind-aware
+// the connected components of the symmetrised graph (an edge in either
+// direction connects) restricted to edges with rate >= epsilon * scale
+// (scale = largest exit rate). The partition is cached rebind-aware
 // exactly like CsrMatrix's transpose cache: a value rebind on the frozen
 // pattern reuses the partition and merely re-evaluates the profitability
 // gate against the fresh rates.

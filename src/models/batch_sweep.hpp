@@ -1,11 +1,11 @@
 // Batched evaluation of a warm-started t-chain (see DESIGN.md "Batched
 // multi-point sweeps"). A t-sweep rebinding rates on a frozen pattern can
 // pack B adjacent grid points into one linalg::CsrValueBatch and solve them
-// together: the direct solvers factor all B systems in SIMD lockstep, and
-// per-lane results are bit-identical to the scalar chain's, so batch width
-// — like thread count — stays outside the determinism contract on the
-// direct-solver path. Warm-start bookkeeping is replayed per point in grid
-// order after each batch, which reproduces the scalar WarmStartState
+// together: where dense LU is the solver, all B systems are factored in
+// SIMD lockstep, and per-lane results are bit-identical to the scalar
+// chain's, so batch width — like thread count — stays outside the
+// determinism contract. Warm-start bookkeeping is replayed per point in
+// grid order after each batch, which reproduces the scalar WarmStartState
 // counters (and the guess chain an escalated lane sees) exactly.
 #pragma once
 

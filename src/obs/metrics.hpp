@@ -22,7 +22,7 @@ namespace tags::obs {
 /// One solver invocation, as recorded by the linalg and CTMC layers.
 struct SolveRecord {
   std::string context;  ///< "linear" or "steady_state"
-  std::string method;   ///< "gauss-seidel", "dense-lu", "level-qbd", ...
+  std::string method;   ///< "gauss-seidel", "dense-lu", "ncd-ad", ...
   std::int64_t n = 0;   ///< system size (CTMC states / matrix rows)
   int iterations = 0;
   double residual = 0.0;
@@ -35,7 +35,7 @@ struct SolveRecord {
   /// Hager 1-norm condition estimate; 0 when the path did not compute one.
   double condition = 0.0;
   double wall_ms = 0.0;
-  /// kAuto fallback chain, e.g. "level-qbd[gate:level-too-wide],gauss-seidel"
+  /// kAuto fallback chain, e.g. "ncd-ad[gate:one-block],gauss-seidel"
   std::string attempts;
   std::string note;      ///< free-form, e.g. "zero-diagonal" on a bailout
 };

@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "obs/obs.hpp"
 #include "pepa/lexer.hpp"
 
 namespace tags::pepa {
@@ -198,7 +199,10 @@ class Parser {
 
 }  // namespace
 
-Model parse_model(std::string_view source) { return Parser(source).parse_model(); }
+Model parse_model(std::string_view source) {
+  const obs::Span span("pepa/parse");  // lexing included
+  return Parser(source).parse_model();
+}
 
 ProcPtr parse_process(std::string_view source) {
   return Parser(source).parse_single_process();

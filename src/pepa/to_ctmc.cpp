@@ -49,11 +49,7 @@ SolvedModel solve(DerivedModel dm, const ctmc::SteadyStateOptions& opts) {
 SolvedModel solve_source(std::string_view source, std::string_view system_name,
                          const DeriveOptions& dopts,
                          const ctmc::SteadyStateOptions& sopts) {
-  const Model model = [&] {
-    const obs::Span span("pepa/parse");
-    return parse_model(source);
-  }();
-  return solve(derive(model, system_name, dopts), sopts);
+  return solve(derive(parse_model(source), system_name, dopts), sopts);
 }
 
 }  // namespace tags::pepa

@@ -49,34 +49,6 @@ TEST(Table, RejectsWrongArity) {
   EXPECT_THROW(t.add_row_text({"only"}), std::invalid_argument);
 }
 
-TEST(ParallelSweep, MatchesSerialEvaluation) {
-  std::vector<double> inputs = linspace(0.0, 10.0, 64);
-  const auto f = [](double x) { return x * x - 3.0 * x; };
-  const auto par = parallel_sweep(inputs, f);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(par[i], f(inputs[i]));
-  }
-}
-
-TEST(WarmSweep, ThreadsInitialGuessThrough) {
-  models::TagsParams base;
-  base.lambda = 5.0;
-  base.mu = 10.0;
-  base.n = 3;
-  base.k1 = base.k2 = 4;
-  const std::vector<double> ts{30.0, 35.0, 40.0};
-  int warm_started = 0;
-  const auto results = warm_sweep(ts, [&](double t, ctmc::SteadyStateOptions& opts) {
-    if (opts.initial_guess) ++warm_started;
-    models::TagsParams p = base;
-    p.t = t;
-    return models::TagsModel(p).solve(opts);
-  });
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(warm_started, 2);
-  for (const auto& r : results) EXPECT_TRUE(r.converged);
-}
-
 TEST(Scenarios, PaperParameterValues) {
   const auto f6 = Fig6Scenario::make();
   EXPECT_FALSE(f6.t_values.empty());

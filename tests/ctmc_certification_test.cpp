@@ -56,8 +56,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, CertifiedMethods,
                          ::testing::Values(SteadyStateMethod::kAuto,
                                            SteadyStateMethod::kDenseLu,
                                            SteadyStateMethod::kGaussSeidel,
-                                           SteadyStateMethod::kPower,
-                                           SteadyStateMethod::kLevelQbd));
+                                           SteadyStateMethod::kPower));
 
 TEST(Certification, DisablingItLeavesDefaultCertificate) {
   SteadyStateOptions opts;
@@ -73,11 +72,7 @@ TEST(Certification, AutoEscalatesWhenCertificationFails) {
   // certificate fail on any nontrivial chain while the solve itself looks
   // perfectly converged. kAuto must treat that exactly like a divergence
   // and fall through to Gauss-Seidel (whose path computes no estimate).
-  // The structured fast path is disabled so the chain actually starts at
-  // dense LU — the ring is QBD-solvable and would otherwise certify there
-  // (no condition estimate) before LU runs.
   SteadyStateOptions opts;
-  opts.structured = false;
   opts.certify_opts.condition_limit = 1.0;
 #if TAGS_OBS_ENABLED
   obs::Counter escalations("numerics.certify.escalations");
@@ -123,7 +118,7 @@ TEST(Certification, PoisonedGeneratorNeverCertifies) {
     tried.emplace_back(ctmc::to_string(a.method));
   }
   EXPECT_EQ(tried,
-            (std::vector<std::string>{"level-qbd", "dense-lu", "gauss-seidel", "power"}));
+            (std::vector<std::string>{"dense-lu", "gauss-seidel", "power"}));
 #if TAGS_OBS_ENABLED
   obs::clear_trace_sink();
   obs::set_level(level);
@@ -140,7 +135,6 @@ TEST(Certification, PoisonedGeneratorNeverCertifies) {
     fallbacks.emplace_back(from, to);
   }
   EXPECT_EQ(fallbacks, (std::vector<std::pair<std::string, std::string>>{
-                           {"level-qbd", "dense-lu"},
                            {"dense-lu", "gauss-seidel"},
                            {"gauss-seidel", "power"}}));
 #endif

@@ -1,9 +1,8 @@
 // The parallel kernel contract: thread count changes wall clock, never
 // bits. Reductions combine fixed, n-dependent block partials in serial
 // order and elementwise kernels have no cross-iteration state, so dot,
-// norms, axpy — and every solve built on them, including the level-QBD
-// direct path with its parallel LU — return byte-identical results at any
-// OpenMP thread count.
+// norms, axpy — and every solve built on them — return byte-identical
+// results at any OpenMP thread count.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,7 +16,6 @@
 #include "ctmc/steady_state.hpp"
 #include "linalg/vector_ops.hpp"
 #include "models/tags_h2.hpp"
-#include "models/tags_nnode.hpp"
 
 namespace {
 
@@ -98,8 +96,9 @@ TEST(KernelDeterminism, ReductionsBitIdenticalAcrossThreadCounts) {
 
 TEST(KernelDeterminism, IterativeSolveBitIdenticalAcrossThreadCounts) {
   // Full kAuto solve on the default H2 chain (12831 states — above the
-  // kernel cutoff, declined by the QBD gate, so this exercises the parallel
-  // reductions and the cached-transpose SpMV inside Gauss-Seidel).
+  // kernel cutoff and declined by the NCD gate, so this exercises the
+  // parallel reductions and the cached-transpose SpMV inside
+  // Gauss-Seidel).
   const models::TagsH2Model model({});
   const linalg::CsrMatrix chain = model.chain().generator();
   ctmc::SteadyStateResult serial;
@@ -108,7 +107,7 @@ TEST(KernelDeterminism, IterativeSolveBitIdenticalAcrossThreadCounts) {
     serial = ctmc::steady_state(chain);
   }
   ASSERT_TRUE(serial.converged);
-  EXPECT_NE(serial.method_used, ctmc::SteadyStateMethod::kLevelQbd);
+  EXPECT_EQ(serial.method_used, ctmc::SteadyStateMethod::kGaussSeidel);
 
   for (int threads : {2, 8}) {
     WithThreads t(threads);
@@ -116,30 +115,6 @@ TEST(KernelDeterminism, IterativeSolveBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(par.converged) << threads;
     EXPECT_EQ(par.method_used, serial.method_used);
     EXPECT_EQ(par.iterations, serial.iterations) << threads;
-    EXPECT_TRUE(same_bytes(par.pi, serial.pi)) << threads << " threads";
-  }
-}
-
-TEST(KernelDeterminism, QbdDirectSolveBitIdenticalAcrossThreadCounts) {
-  // The structured path's parallel pieces (LU row updates, chunked
-  // multi-RHS substitution) partition work without changing per-element
-  // arithmetic; the N-node chain is gate-admitted, so kAuto lands on the
-  // block-tridiagonal direct solver.
-  const models::TagsNNodeModel model({});
-  const linalg::CsrMatrix chain = model.chain().generator();
-  ctmc::SteadyStateResult serial;
-  {
-    WithThreads one(1);
-    serial = ctmc::steady_state(chain);
-  }
-  ASSERT_TRUE(serial.converged);
-  ASSERT_EQ(serial.method_used, ctmc::SteadyStateMethod::kLevelQbd);
-
-  for (int threads : {2, 8}) {
-    WithThreads t(threads);
-    const auto par = ctmc::steady_state(chain);
-    ASSERT_TRUE(par.converged) << threads;
-    EXPECT_EQ(par.method_used, ctmc::SteadyStateMethod::kLevelQbd);
     EXPECT_TRUE(same_bytes(par.pi, serial.pi)) << threads << " threads";
   }
 }

@@ -2,9 +2,9 @@
 // gate in the kAuto chain: strong edges never cross block boundaries, the
 // blocks-contiguous permutation is consistent, IAD matches dense LU on
 // randomized nearly-decomposable chains, the coupling gate declines the
-// strongly-coupled TAGS chain bit-identically to the pre-NCD chain, a
-// level-QBD fall-through is traced as handing over to NCD-AD, and the
-// rebind-aware partition cache survives value rebinds while a dimension
+// strongly-coupled TAGS chain bit-identically to the pre-NCD chain, an
+// NCD-AD fall-through is traced as handing over to the stage that runs
+// next, and the rebind-aware partition cache survives value rebinds while a dimension
 // change invalidates it.
 #include <gtest/gtest.h>
 
@@ -253,7 +253,7 @@ TEST(NcdGate, DeclinedChainIsBitIdenticalToNcdOff) {
   const models::TagsModel model(square_params(50.0));
   const CsrMatrix& q = model.chain().generator();
 
-  ctmc::SteadyStateOptions on;  // defaults: structured + ncd both enabled
+  ctmc::SteadyStateOptions on;  // defaults: ncd enabled
   const auto with_ncd = ctmc::steady_state(q, on);
   ctmc::SteadyStateOptions off;
   off.ncd = false;
@@ -271,14 +271,11 @@ TEST(NcdGate, DeclinedChainIsBitIdenticalToNcdOff) {
   EXPECT_EQ(std::memcmp(&with_ncd.residual, &without.residual, sizeof(double)), 0);
   EXPECT_EQ(with_ncd.iterations, without.iterations);
 
-  // The gate leaves an audit trail: gated entries for both declined fast
-  // paths, and the executed attempts match the ncd-off chain exactly.
-  bool saw_qbd_gate = false, saw_ncd_gate = false;
+  // The gate leaves an audit trail: a gated entry for the declined fast
+  // path, and the executed attempts match the ncd-off chain exactly.
+  bool saw_ncd_gate = false;
   std::vector<ctmc::SteadyStateMethod> executed_on, executed_off;
   for (const auto& a : with_ncd.attempts) {
-    if (a.method == ctmc::SteadyStateMethod::kLevelQbd && !a.gate_reason.empty()) {
-      saw_qbd_gate = true;
-    }
     if (a.method == ctmc::SteadyStateMethod::kNcdAd && !a.gate_reason.empty()) {
       saw_ncd_gate = true;
       EXPECT_EQ(a.gate_reason, "one-block");
@@ -291,15 +288,14 @@ TEST(NcdGate, DeclinedChainIsBitIdenticalToNcdOff) {
     EXPECT_NE(a.method, ctmc::SteadyStateMethod::kNcdAd);
     if (a.gate_reason.empty()) executed_off.push_back(a.method);
   }
-  EXPECT_TRUE(saw_qbd_gate);
   EXPECT_TRUE(saw_ncd_gate);
   EXPECT_EQ(executed_on, executed_off);
 }
 
 TEST(NcdGate, RareTimeoutTagsChainAccepted) {
-  // The short-cutoff chain the solver exists for: QBD's bandwidth guard
-  // declines, the coupling gate accepts, and kAuto lands on NCD-AD with a
-  // clean certificate matching the generic chain's answer.
+  // The short-cutoff chain the solver exists for: the coupling gate
+  // accepts, and kAuto lands on NCD-AD with a clean certificate matching
+  // the generic chain's answer.
   const models::TagsModel model(square_params(0.4));
   const CsrMatrix& q = model.chain().generator();
   const auto res = ctmc::steady_state(q, {});
@@ -315,14 +311,12 @@ TEST(NcdGate, RareTimeoutTagsChainAccepted) {
 }
 
 TEST(NcdGate, FallbackTraceNamesTheStageThatRunsNext) {
-  // A weakly-coupled chain above the dense-LU ceiling, with the level-QBD
-  // gate opened wide and a certificate nothing can pass: every stage runs
-  // and falls through. Level-QBD hands over to NCD-AD, the stage that
-  // actually runs next, not to the Gauss-Seidel this chain size would
-  // reach without it.
+  // A weakly-coupled chain above the dense-LU ceiling, with a certificate
+  // nothing can pass: every stage runs and falls through. NCD-AD hands
+  // over to Gauss-Seidel, the stage that actually runs next, not to the
+  // dense LU this chain size leaves out.
   const auto chain = random_ncd_chain(8, 160, 77);
   ctmc::SteadyStateOptions opts;
-  opts.structured_max_block = chain.n_states();
   opts.certify_opts.residual_bound = 0.0;
   opts.max_iter = 64;  // nothing can certify; don't burn the budget
 #if TAGS_OBS_ENABLED
@@ -335,7 +329,7 @@ TEST(NcdGate, FallbackTraceNamesTheStageThatRunsNext) {
   std::vector<std::string> tried;
   for (const auto& a : res.attempts) tried.emplace_back(ctmc::to_string(a.method));
   EXPECT_EQ(tried,
-            (std::vector<std::string>{"level-qbd", "ncd-ad", "gauss-seidel", "power"}));
+            (std::vector<std::string>{"ncd-ad", "gauss-seidel", "power"}));
 #if TAGS_OBS_ENABLED
   obs::clear_trace_sink();
   obs::set_level(level);
@@ -350,7 +344,6 @@ TEST(NcdGate, FallbackTraceNamesTheStageThatRunsNext) {
     fallbacks.emplace_back(from, to);
   }
   EXPECT_EQ(fallbacks, (std::vector<std::pair<std::string, std::string>>{
-                           {"level-qbd", "ncd-ad"},
                            {"ncd-ad", "gauss-seidel"},
                            {"gauss-seidel", "power"}}));
 #endif

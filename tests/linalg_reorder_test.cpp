@@ -1,6 +1,5 @@
-// Permutation properties: round trips are exact, symmetric permutation
-// matches its definition, and BFS levels never let an edge skip a level
-// (the invariant the QBD solver relies on).
+// Permutation properties: round trips are exact and symmetric permutation
+// matches its definition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,31 +78,6 @@ TEST(Permutation, SymmetricPermuteMatchesDefinition) {
                              p.order[static_cast<std::size_t>(j)]))
           << i << "," << j;
     }
-  }
-}
-
-TEST(BfsLevels, EdgesNeverSkipALevel) {
-  for (unsigned seed : {1u, 2u, 3u, 4u}) {
-    const auto chain = random_chain(60 + 13 * seed, 100 + seed);
-    const CsrMatrix& q = chain.generator();
-    const auto lv = linalg::bfs_levels(q);
-    ASSERT_TRUE(lv.connected);
-    ASSERT_EQ(lv.level_ptr.back(), q.rows());
-    for (index_t i = 0; i < q.rows(); ++i) {
-      const auto cs = q.row_cols(i);
-      for (const index_t j : cs) {
-        if (j == i) continue;
-        const int li = lv.level_of[static_cast<std::size_t>(i)];
-        const int lj = lv.level_of[static_cast<std::size_t>(j)];
-        EXPECT_LE(std::abs(li - lj), 1) << "edge " << i << "->" << j;
-      }
-    }
-    // max_block() really is the widest level.
-    index_t widest = 0;
-    for (std::size_t l = 0; l + 1 < lv.level_ptr.size(); ++l) {
-      widest = std::max(widest, lv.level_ptr[l + 1] - lv.level_ptr[l]);
-    }
-    EXPECT_EQ(lv.max_block(), widest);
   }
 }
 

@@ -1,11 +1,12 @@
 // Golden regression fixtures: metric values for fig06/fig07 (exponential
 // TAGS t-sweep) and fig09 (H2 TAGS) sample points. The values are exact
 // answers from direct solves: dense LU on the 5751-state exponential
-// chains, explicit level-QBD on the 12831-state H2 chains (which agree with
-// Gauss-Seidel run to a residual of 1e-15 within 5e-11 relative). The
-// fixtures re-solve each chain with the same direct method, so drift there
-// means a model's transition structure or measure extraction changed; a
-// separate check holds the default solver chain to its accuracy.
+// chains, and a block-tridiagonal direct solve on the 12831-state H2
+// chains. The exponential fixtures re-solve with dense LU; the H2 fixtures
+// re-solve with Gauss-Seidel run to a residual of 1e-15, which lands
+// within 4e-11 (scaled) of every H2 value. Drift there means a model's
+// transition structure or measure extraction changed; a separate check
+// holds the default solver chain to its accuracy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,6 +64,15 @@ ctmc::SteadyStateOptions solved_by(ctmc::SteadyStateMethod method) {
   return o;
 }
 
+/// Gauss-Seidel run to a residual of 1e-15: the reference for chains too
+/// large for dense LU.
+ctmc::SteadyStateOptions tight_gauss_seidel() {
+  ctmc::SteadyStateOptions o = solved_by(ctmc::SteadyStateMethod::kGaussSeidel);
+  o.tol = 1e-15;
+  o.max_iter = 5000000;
+  return o;
+}
+
 /// Every measure within tol(golden) of its golden value.
 template <class Tol>
 void expect_matches(const models::Metrics& m, const GoldenPoint& g, Tol tol) {
@@ -76,7 +86,8 @@ void expect_matches(const models::Metrics& m, const GoldenPoint& g, Tol tol) {
   near(m.response_time, g.response_time, "response_time");
 }
 
-// A direct solve reproduces the exact values up to rounding.
+// A direct solve reproduces the exact values up to rounding, and the tight
+// Gauss-Seidel reference comes within 4e-11 of them.
 const auto kDirectTol = [](double golden) { return 1e-9 * std::max(1.0, std::abs(golden)); };
 
 // The default chain stops Gauss-Seidel at ||pi Q||_inf <= 1e-11 * max exit
@@ -92,8 +103,7 @@ TEST(GoldenRegression, TagsExponentialTimeoutSweep) {
 
 TEST(GoldenRegression, TagsH2TimeoutSweep) {
   for (const GoldenPoint& g : kH2Golden) {
-    expect_matches(h2_at(g.t).metrics(solved_by(ctmc::SteadyStateMethod::kLevelQbd)), g,
-                   kDirectTol);
+    expect_matches(h2_at(g.t).metrics(tight_gauss_seidel()), g, kDirectTol);
   }
 }
 

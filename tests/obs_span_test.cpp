@@ -21,6 +21,7 @@
 
 #include "core/pool.hpp"
 #include "obs/obs.hpp"
+#include "pepa/parser.hpp"
 
 namespace {
 
@@ -136,7 +137,7 @@ TEST_F(ObsSpanTest, AttributesAreCopiedIntoTheRecord) {
   {
     obs::Span span("t/attrs");
     std::string key = "n";
-    std::string val = "level-qbd";
+    std::string val = "dense-lu";
     span.attr(key, 42.0);
     span.attr("method", std::string_view(val));
     key = "clobbered";
@@ -149,7 +150,20 @@ TEST_F(ObsSpanTest, AttributesAreCopiedIntoTheRecord) {
   EXPECT_DOUBLE_EQ(recs[0].num[0].second, 42.0);
   ASSERT_EQ(recs[0].str.size(), 1u);
   EXPECT_EQ(recs[0].str[0].first, "method");
-  EXPECT_EQ(recs[0].str[0].second, "level-qbd");
+  EXPECT_EQ(recs[0].str[0].second, "dense-lu");
+}
+
+TEST_F(ObsSpanTest, ParseModelClosesOnePepaParseSpan) {
+  // Parsing records its own time wherever it is called from, so the CLI
+  // and the model exporter attribute it without going through
+  // pepa::solve_source.
+  const pepa::Model m = pepa::parse_model("r = 2;\nP = (a, r).P;");
+  EXPECT_EQ(m.definitions.size(), 1u);
+  std::size_t parses = 0;
+  for (const obs::SpanRecord& rec : obs::span_records()) {
+    if (rec.name == "pepa/parse") ++parses;
+  }
+  EXPECT_EQ(parses, 1u);
 }
 
 TEST_F(ObsSpanTest, InactiveWhenLevelOff) {

@@ -1,12 +1,15 @@
 // Batched-vs-unbatched differential coverage (see DESIGN.md "Batched
-// multi-point sweeps"): on the direct-solver paths the batch width — like
-// the thread count — must stay outside the determinism contract, so every
+// multi-point sweeps"): on the dense-LU path the batch width — like the
+// thread count — must stay outside the determinism contract, so every
 // sweep, optimizer scan and journal replay here is compared byte for byte
-// against the scalar (batch = 1) run. The batched LU kernel itself is
-// pinned bitwise against linalg::lu_factor, including a singular lane
+// against the scalar (batch = 1) run. The models stay at or below dense
+// LU's 1200 states, where kAuto batches, and every kAuto test checks that
+// its lanes really were factored in a batch. The batched LU kernel itself
+// is pinned bitwise against linalg::lu_factor, including a singular lane
 // sharing a batch with healthy ones.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -22,6 +25,7 @@
 #include "linalg/lu.hpp"
 #include "models/tags.hpp"
 #include "models/tags_h2.hpp"
+#include "obs/obs.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -29,7 +33,8 @@ namespace {
 using namespace tags;
 
 /// The reduced model the determinism suites use: fast enough to run the
-/// grid several times per test, big enough for several shards and batches.
+/// grid several times per test, big enough for several shards and batches,
+/// and small enough (at most 1200 states) for kAuto to batch it on dense LU.
 models::TagsParams reduced_model() {
   models::TagsParams base;
   base.n = 3;
@@ -37,11 +42,32 @@ models::TagsParams reduced_model() {
   return base;
 }
 
+/// 551 states: K1 = K2 = 4 would have 2109, above the dense-LU range, and
+/// every lane would run the scalar chain.
 models::TagsH2Params reduced_h2_model() {
   models::TagsH2Params base;
   base.n = 3;
-  base.k1 = base.k2 = 4;
+  base.k1 = base.k2 = 2;
   return base;
+}
+
+/// Batched dense-LU factorisations run so far in this process (0 when
+/// observability is compiled out).
+std::uint64_t dense_lu_batches() {
+  const auto stats = obs::span_stats();
+  const auto it = stats.find("solve/dense-lu-batch");
+  return it == stats.end() ? 0 : it->second.count;
+}
+
+/// A kAuto test's batched runs must have factored lanes in a batch;
+/// otherwise every lane ran the scalar chain and the comparison against
+/// the scalar run holds trivially. Counted through the span layer, so an
+/// obs-off build cannot check it.
+void expect_dense_lu_batched([[maybe_unused]] std::uint64_t batches_before) {
+#if TAGS_OBS_ENABLED
+  EXPECT_GT(dense_lu_batches(), batches_before)
+      << "no lanes were factored in a batch: the batch path went untested";
+#endif
 }
 
 const std::vector<double>& grid() {
@@ -154,10 +180,12 @@ TEST(SweepBatch, TagsSweepBitIdenticalAcrossBatchWidths) {
   ASSERT_EQ(scalar.size(), grid().size());
   for (const std::size_t batch : {std::size_t{4}, std::size_t{7}}) {
     SCOPED_TRACE("batch " + std::to_string(batch));
+    const std::uint64_t batches = dense_lu_batches();
     core::SweepStats stats;
     const auto batched = core::tags_t_sweep(
         reduced_model(), grid(), {.threads = 1, .shard_size = 5, .batch = batch},
         &stats);
+    expect_dense_lu_batched(batches);
     EXPECT_TRUE(same_bytes(scalar, batched));
     expect_counters_equal(scalar_stats, stats);
   }
@@ -170,10 +198,12 @@ TEST(SweepBatch, H2SweepBitIdenticalAcrossBatchWidths) {
       &scalar_stats);
   for (const std::size_t batch : {std::size_t{4}, std::size_t{7}}) {
     SCOPED_TRACE("batch " + std::to_string(batch));
+    const std::uint64_t batches = dense_lu_batches();
     core::SweepStats stats;
     const auto batched = core::tags_h2_t_sweep(
         reduced_h2_model(), grid(), {.threads = 1, .shard_size = 5, .batch = batch},
         &stats);
+    expect_dense_lu_batched(batches);
     EXPECT_TRUE(same_bytes(scalar, batched));
     expect_counters_equal(scalar_stats, stats);
   }
@@ -186,9 +216,11 @@ TEST(SweepBatch, BatchComposesWithThreads) {
   const auto reference = core::tags_t_sweep(
       reduced_model(), grid(), {.threads = 1, .shard_size = 3, .batch = 1},
       &ref_stats);
+  const std::uint64_t batches = dense_lu_batches();
   core::SweepStats stats;
   const auto combined = core::tags_t_sweep(
       reduced_model(), grid(), {.threads = 4, .shard_size = 3, .batch = 4}, &stats);
+  expect_dense_lu_batched(batches);
   EXPECT_TRUE(same_bytes(reference, combined));
   expect_counters_equal(ref_stats, stats);
 }
@@ -196,12 +228,17 @@ TEST(SweepBatch, BatchComposesWithThreads) {
 TEST(SweepBatch, SteadyStateBatchMatchesScalarChainWithCertificates) {
   // Direct API differential: one batched call vs the warm-started scalar
   // chain, lane by lane. Every lane must also carry its own accepted
-  // certificate — certification stays per point in a batched solve.
+  // certificate — certification stays per point in a batched solve — and
+  // come from the batched dense-LU factorisation, kAuto's first stage here.
   const std::vector<double> ts = {20.0, 45.0, 70.0, 95.0, 110.0};
   const auto scalar = scalar_chain<models::TagsModel>(reduced_model(), ts);
+  const std::uint64_t batches = dense_lu_batches();
   const auto batched = batch_solve<models::TagsModel>(reduced_model(), ts);
+  expect_dense_lu_batched(batches);
   expect_results_identical(scalar, batched);
   for (std::size_t b = 0; b < batched.size(); ++b) {
+    EXPECT_EQ(batched[b].method_used, ctmc::SteadyStateMethod::kDenseLu) << "lane " << b;
+    EXPECT_EQ(batched[b].attempts.size(), 1u) << "lane " << b;
     EXPECT_TRUE(batched[b].converged) << "lane " << b;
     EXPECT_TRUE(batched[b].certificate.ok()) << "lane " << b;
   }
@@ -218,16 +255,6 @@ TEST(SweepBatch, DenseLuBatchBitIdentical) {
   for (const auto& r : batched) {
     EXPECT_EQ(r.method_used, ctmc::SteadyStateMethod::kDenseLu);
   }
-}
-
-TEST(SweepBatch, LevelQbdBatchBitIdentical) {
-  ctmc::SteadyStateOptions opts;
-  opts.method = ctmc::SteadyStateMethod::kLevelQbd;
-  const std::vector<double> ts = {15.0, 40.0, 65.0, 90.0};
-  const auto scalar =
-      scalar_chain<models::TagsModel>(reduced_model(), ts, opts);
-  const auto batched = batch_solve<models::TagsModel>(reduced_model(), ts, opts);
-  expect_results_identical(scalar, batched);
 }
 
 TEST(SweepBatch, IterativeFallbackMatchesScalarSequence) {
@@ -274,55 +301,6 @@ TEST(SweepBatch, BatchedLuMatchesScalarFactorization) {
     const linalg::LuFactorization lane = bf.extract_lane(b);
     EXPECT_TRUE(same_bits(scalar.solve(rhs), lane.solve(rhs)));
     EXPECT_TRUE(same_bits(scalar.solve_transpose(rhs), lane.solve_transpose(rhs)));
-
-    // The in-batch substitutions reproduce the scalar kernels too.
-    linalg::Vec x(rhs.begin(), rhs.end());
-    bf.solve_lane(b, x);
-    EXPECT_TRUE(same_bits(scalar.solve(rhs), x));
-    EXPECT_TRUE(same_bits(scalar.solve_transpose(rhs), bf.solve_transpose_lane(b, rhs)));
-  }
-}
-
-TEST(SweepBatch, BatchedMultiRhsMatchesScalarMultiRhs) {
-  constexpr std::size_t m = 6;
-  constexpr std::size_t w = 4;
-  constexpr std::size_t nc = 3;
-  const auto entry = [](std::size_t i, std::size_t j, std::size_t b) {
-    const double off = static_cast<double>((i * 5 + j * 9 + b * 7) % 11) - 5.0;
-    return i == j ? 40.0 + 2.0 * static_cast<double>(b) : off;
-  };
-  const auto rhs_entry = [](std::size_t i, std::size_t c, std::size_t b) {
-    return static_cast<double>((i * 3 + c * 13 + b) % 17) - 8.0;
-  };
-  linalg::BatchLuFactorization bf;
-  bf.factor(m, w, entry);
-  ASSERT_FALSE(bf.any_singular());
-
-  std::vector<double> bm(m * nc * w);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t c = 0; c < nc; ++c)
-      for (std::size_t b = 0; b < w; ++b)
-        bm[(i * nc + c) * w + b] = rhs_entry(i, c, b);
-  bf.solve_in_place_multi_batch(bm, nc);
-
-  for (std::size_t b = 0; b < w; ++b) {
-    SCOPED_TRACE("lane " + std::to_string(b));
-    linalg::DenseMatrix a(m, m);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < m; ++j) a(i, j) = entry(i, j, b);
-    const linalg::LuFactorization scalar = linalg::lu_factor(a);
-    linalg::DenseMatrix rhs(m, nc);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t c = 0; c < nc; ++c) rhs(i, c) = rhs_entry(i, c, b);
-    scalar.solve_in_place_multi(rhs);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t c = 0; c < nc; ++c) {
-        const double got = bm[(i * nc + c) * w + b];
-        const double want = rhs(i, c);
-        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
-            << "entry (" << i << ", " << c << ")";
-      }
-    }
   }
 }
 
@@ -332,8 +310,10 @@ TEST(SweepBatch, OptimizerScanIdenticalAcrossBatchWidths) {
       approx::optimise_tags_t_integer(p, approx::Objective::kMinQueueLength, 10, 40, 1);
   for (const std::size_t batch : {std::size_t{4}, std::size_t{5}}) {
     SCOPED_TRACE("batch " + std::to_string(batch));
+    const std::uint64_t batches = dense_lu_batches();
     const auto batched = approx::optimise_tags_t_integer(
         p, approx::Objective::kMinQueueLength, 10, 40, batch);
+    expect_dense_lu_batched(batches);
     EXPECT_EQ(scalar.t, batched.t);
     EXPECT_EQ(scalar.solves, batched.solves);
     EXPECT_EQ(std::memcmp(&scalar.metrics, &batched.metrics, sizeof scalar.metrics), 0);
@@ -344,8 +324,10 @@ TEST(SweepBatch, CoarseOptimizerIdenticalAcrossBatchWidths) {
   const auto p = reduced_h2_model();
   const auto scalar = approx::optimise_tags_h2_t_coarse(
       p, approx::Objective::kMinResponseTime, 4, 60, 6, 1);
+  const std::uint64_t batches = dense_lu_batches();
   const auto batched = approx::optimise_tags_h2_t_coarse(
       p, approx::Objective::kMinResponseTime, 4, 60, 6, 7);
+  expect_dense_lu_batched(batches);
   EXPECT_EQ(scalar.t, batched.t);
   EXPECT_EQ(scalar.solves, batched.solves);
   EXPECT_EQ(std::memcmp(&scalar.metrics, &batched.metrics, sizeof scalar.metrics), 0);
@@ -360,6 +342,7 @@ TEST(SweepBatch, JournalReplayAcrossBatchWidths) {
     const auto dir = fresh_dir(tag);
     core::SweepStats write_stats;
     std::vector<models::Metrics> written;
+    const std::uint64_t batches = dense_lu_batches();
     {
       store::SolveStore store(dir);
       written = core::tags_t_sweep(
@@ -367,6 +350,7 @@ TEST(SweepBatch, JournalReplayAcrossBatchWidths) {
           {.threads = 1, .shard_size = 3, .batch = write_batch}, &write_stats,
           &store);
     }
+    if (write_batch > 1) expect_dense_lu_batched(batches);
     EXPECT_EQ(write_stats.resumed, 0u);
     core::SweepStats replay_stats;
     std::vector<models::Metrics> replayed;
