@@ -55,11 +55,10 @@ inline store::SolveStore* store_from_args(int argc, char** argv) {
 
 /// Sweep execution plan for the figure drivers: `--threads=N` on the
 /// command line wins, otherwise TAGS_SWEEP_THREADS, otherwise hardware
-/// concurrency (see ThreadPool::default_threads). `--batch=B` likewise
-/// overrides TAGS_SWEEP_BATCH for the batched multi-point solve width.
-/// Both are execution knobs: the shard plan stays at its grid-determined
-/// default and results are identical at any setting (see DESIGN.md
-/// "Batched multi-point sweeps").
+/// concurrency (see ThreadPool::default_threads). The thread count is an
+/// execution knob: the shard plan stays at its grid-determined default and
+/// results are identical at any setting (see DESIGN.md "Parallel sweep
+/// engine").
 inline core::SweepPlan sweep_plan_from_args(int argc, char** argv) {
   core::SweepPlan plan;
   for (int i = 1; i < argc; ++i) {
@@ -67,13 +66,9 @@ inline core::SweepPlan sweep_plan_from_args(int argc, char** argv) {
     if (arg.rfind("--threads=", 0) == 0) {
       const long v = std::strtol(arg.c_str() + 10, nullptr, 10);
       if (v > 0) plan.threads = static_cast<unsigned>(v);
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      const long v = std::strtol(arg.c_str() + 8, nullptr, 10);
-      if (v > 0 && v <= 64) plan.batch = static_cast<std::size_t>(v);
     }
   }
   if (plan.threads == 0) plan.threads = core::ThreadPool::default_threads();
-  if (plan.batch == 0) plan.batch = core::default_batch_width();
   return plan;
 }
 

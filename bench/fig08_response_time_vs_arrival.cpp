@@ -24,11 +24,8 @@ int main(int argc, char** argv) {
 
   // Each lambda row runs two integer-t optimisations (dozens of solves);
   // with --store every finished row is committed, so an interrupted run
-  // resumes from the next lambda instead of the first. --batch=B (or
-  // TAGS_SWEEP_BATCH) packs that many scan points per batched direct
-  // solve; the optima and metrics are identical at any width.
+  // resumes from the next lambda instead of the first.
   bench::store_from_args(argc, argv);
-  const std::size_t batch = bench::sweep_plan_from_args(argc, argv).batch;
   std::uint64_t digest = ctmc::fnv1a64("fig08", 5);
   for (const double l : scenario.lambdas) digest = ctmc::fnv1a64_double(l, digest);
   bench::RowJournal journal("fig08", digest);
@@ -43,14 +40,14 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       models::TagsParams p = scenario.tags_at(lambda, 50.0);
       const auto opt = approx::optimise_tags_t_integer(
-          p, approx::Objective::kMinQueueLength, 30, 75, batch);
+          p, approx::Objective::kMinQueueLength, 30, 75);
       // The paper's solved model has 4331 states == the state-count formula at
       // n = 5 (DESIGN.md); at n = 5 the integer optima land on the paper's
       // quoted values almost exactly.
       models::TagsParams p5 = p;
       p5.n = 5;
       const auto opt5 = approx::optimise_tags_t_integer(
-          p5, approx::Objective::kMinQueueLength, 25, 70, batch);
+          p5, approx::Objective::kMinQueueLength, 25, 70);
       const core::ScenarioRequest base_req = core::request_for(p);
       const auto random = core::scenario_metrics(
           core::baseline_for(core::PolicyKind::kRandom, base_req));

@@ -24,11 +24,8 @@ int main(int argc, char** argv) {
   scenario.alphas = {0.89, 0.91, 0.93, 0.95, 0.97, 0.99};
 
   // One coarse t-optimisation per alpha — the most expensive rows in the
-  // whole figure suite, so each is journalled as it completes. --batch=B
-  // (or TAGS_SWEEP_BATCH) packs that many scan points per batched direct
-  // solve; the optima and metrics are identical at any width.
+  // whole figure suite, so each is journalled as it completes.
   bench::store_from_args(argc, argv);
-  const std::size_t batch = bench::sweep_plan_from_args(argc, argv).batch;
   std::uint64_t digest = ctmc::fnv1a64("fig11", 5);
   for (const double a : scenario.alphas) digest = ctmc::fnv1a64_double(a, digest);
   bench::RowJournal journal("fig11", digest);
@@ -43,7 +40,7 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       models::TagsH2Params p = scenario.tags_at(alpha, 20.0);
       const auto opt = approx::optimise_tags_h2_t_coarse(
-          p, approx::Objective::kMinResponseTime, 4, 100, 6, batch);
+          p, approx::Objective::kMinResponseTime, 4, 100, 6);
       const core::ScenarioRequest base_req = core::request_for(p);
       const auto random = core::scenario_metrics(
           core::baseline_for(core::PolicyKind::kRandomH2, base_req));

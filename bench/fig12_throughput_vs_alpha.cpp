@@ -20,10 +20,7 @@ int main(int argc, char** argv) {
   auto scenario = core::Fig11Scenario::make();
   scenario.alphas = {0.89, 0.91, 0.93, 0.95, 0.97, 0.99};
 
-  // --batch=B (or TAGS_SWEEP_BATCH) packs that many t-scan points per
-  // batched direct solve; the optima and metrics are identical at any width.
   bench::store_from_args(argc, argv);
-  const std::size_t batch = bench::sweep_plan_from_args(argc, argv).batch;
   std::uint64_t digest = ctmc::fnv1a64("fig12", 5);
   for (const double a : scenario.alphas) digest = ctmc::fnv1a64_double(a, digest);
   bench::RowJournal journal("fig12", digest);
@@ -38,7 +35,7 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       models::TagsH2Params p = scenario.tags_at(alpha, 20.0);
       const auto opt = approx::optimise_tags_h2_t_coarse(
-          p, approx::Objective::kMaxThroughput, 4, 100, 6, batch);
+          p, approx::Objective::kMaxThroughput, 4, 100, 6);
       const core::ScenarioRequest base_req = core::request_for(p);
       const auto random = core::scenario_metrics(
           core::baseline_for(core::PolicyKind::kRandomH2, base_req));

@@ -23,11 +23,7 @@
 #include "core/pool.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
-#include "ctmc/steady_state.hpp"
-#include "linalg/batch.hpp"
 #include "models/tags.hpp"
-
-#include <optional>
 
 namespace {
 
@@ -113,141 +109,6 @@ int run_sweep_report(unsigned parallel_threads) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-point solves: scalar warm-started chain vs
-// steady_state_batch over the same points (see DESIGN.md "Batched
-// multi-point sweeps").
-// ---------------------------------------------------------------------------
-
-struct BatchProbe {
-  double scalar_ms = 0.0;
-  double batched_ms = 0.0;
-  bool identical = false;   ///< batched pi bit-identical to scalar, per point
-  bool certified = false;   ///< every result (both paths) passed its certificate
-  bool dense_lu = false;    ///< every result (both paths) came from dense LU
-  [[nodiscard]] double speedup() const noexcept {
-    return batched_ms > 0.0 ? scalar_ms / batched_ms : 0.0;
-  }
-};
-
-bool identical_pis(const std::vector<linalg::Vec>& a,
-                   const std::vector<linalg::Vec>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    if (std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(double)) != 0)
-      return false;
-  }
-  return true;
-}
-
-/// Time one sweep configuration both ways under kAuto. The scalar side is
-/// exactly what a sweep shard runs: one warm-start-chained solve per point.
-/// The batched side packs `batch` adjacent points into a CsrValueBatch and
-/// solves them together, which factors the lanes in lockstep when dense LU
-/// is kAuto's first stage (chains of at most 1200 states); the tail chunk
-/// exercises the partial-width path.
-BatchProbe probe_batched(const std::vector<models::TagsParams>& points, std::size_t batch) {
-  using clock = std::chrono::steady_clock;
-  const ctmc::SteadyStateOptions opts;
-
-  BatchProbe out;
-  std::vector<linalg::Vec> scalar_pi, batched_pi;
-  bool scalar_cert = true, batched_cert = true;
-  out.dense_lu = true;
-
-  // Best of two per side: one multi-second rep is still at the mercy of a
-  // noisy-neighbour scheduler; the min is the honest kernel cost.
-  for (int rep = 0; rep < 2; ++rep) {
-    std::vector<linalg::Vec> pis;
-    bool cert = true;
-    ctmc::WarmStartState warm;
-    warm.opts = opts;
-    models::TagsModel m(points.front());
-    const auto t0 = clock::now();
-    for (const models::TagsParams& p : points) {
-      m.rebind(p);
-      warm.reconcile(static_cast<linalg::index_t>(m.n_states()));
-      auto r = m.solve(warm.opts);
-      cert = cert && r.certificate.ok();
-      out.dense_lu = out.dense_lu && r.method_used == ctmc::SteadyStateMethod::kDenseLu;
-      warm.accept(r);
-      pis.push_back(std::move(r.pi));
-    }
-    const double ms =
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    if (rep == 0 || ms < out.scalar_ms) out.scalar_ms = ms;
-    scalar_pi = std::move(pis);
-    scalar_cert = cert;
-  }
-
-  for (int rep = 0; rep < 2; ++rep) {
-    std::vector<linalg::Vec> pis;
-    bool cert = true;
-    models::TagsModel m(points.front());
-    const auto t0 = clock::now();
-    for (std::size_t i = 0; i < points.size(); i += batch) {
-      const std::size_t bw = std::min(batch, points.size() - i);
-      std::optional<linalg::CsrValueBatch> vals;
-      for (std::size_t b = 0; b < bw; ++b) {
-        m.rebind(points[i + b]);
-        const linalg::CsrMatrix& q = m.chain().generator();
-        if (!vals) vals.emplace(q, bw);
-        vals->load_lane(b, q);
-      }
-      for (auto& r : ctmc::steady_state_batch(*vals, opts)) {
-        cert = cert && r.certificate.ok();
-        out.dense_lu = out.dense_lu && r.method_used == ctmc::SteadyStateMethod::kDenseLu;
-        pis.push_back(std::move(r.pi));
-      }
-    }
-    const double ms =
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    if (rep == 0 || ms < out.batched_ms) out.batched_ms = ms;
-    batched_pi = std::move(pis);
-    batched_cert = cert;
-  }
-
-  out.identical = identical_pis(scalar_pi, batched_pi);
-  out.certified = scalar_cert && batched_cert;
-  return out;
-}
-
-/// Batched-vs-scalar report on fig08's heaviest t-grid at K1 = K2 = 4
-/// (957 states), small enough for kAuto to batch it on dense LU. Gauges:
-/// batched_identical must be 1 (the determinism contract: batched dense-LU
-/// solves are bit-identical to the scalar chain at any width, every result
-/// certified, and every lane on dense LU, the stage the batch factors);
-/// batched_speedup is the scalar-to-batched time ratio.
-int run_batch_report(std::size_t batch) {
-  // fig08's largest column: lambda = 11, t swept 30..75.
-  core::Fig8Scenario s8;
-  std::vector<models::TagsParams> pts8;
-  for (double t = 30.0; t <= 75.0; t += 1.0) {
-    models::TagsParams p = s8.tags_at(11.0, t);
-    p.k1 = p.k2 = 4;
-    pts8.push_back(p);
-  }
-
-  const BatchProbe p8 = probe_batched(pts8, batch);
-  const bool ok = p8.identical && p8.certified && p8.dense_lu;
-
-  std::printf("batched solves (width %zu): fig08 K=4 %zu pts scalar %.0f ms "
-              "batched %.0f ms (%.2fx)\n",
-              batch, pts8.size(), p8.scalar_ms, p8.batched_ms, p8.speedup());
-  std::printf("batched pi bit-identical to scalar: %s; all solves certified: "
-              "%s; all on dense LU: %s\n",
-              p8.identical ? "yes" : "NO", p8.certified ? "yes" : "NO",
-              p8.dense_lu ? "yes" : "NO");
-
-  obs::gauge_set("bench.micro_sweep.batch_width", static_cast<double>(batch));
-  obs::gauge_set("bench.micro_sweep.fig08_scalar_ms", p8.scalar_ms);
-  obs::gauge_set("bench.micro_sweep.fig08_batched_ms", p8.batched_ms);
-  obs::gauge_set("bench.micro_sweep.batched_speedup", p8.speedup());
-  obs::gauge_set("bench.micro_sweep.batched_identical", ok ? 1.0 : 0.0);
-  return ok ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
 // google-benchmark scaling curves
 // ---------------------------------------------------------------------------
 
@@ -294,7 +155,6 @@ BENCHMARK(BM_PoolDispatchOverhead)->Arg(1)->Arg(4)->Arg(8);
 int main(int argc, char** argv) {
   bool report_only = false;
   unsigned threads = 8;
-  std::size_t batch = 8;
   // Consume our own flags so google-benchmark does not reject them.
   tags::bench::consume_export_flags(argc, argv);
   int kept = 1;
@@ -304,18 +164,12 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       const long v = std::strtol(argv[i] + 10, nullptr, 10);
       if (v > 0) threads = static_cast<unsigned>(v);
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      const long v = std::strtol(argv[i] + 8, nullptr, 10);
-      if (v > 0 && v <= 64) batch = static_cast<std::size_t>(v);
     } else {
       argv[kept++] = argv[i];
     }
   }
   argc = kept;
-  // The batch report runs first so its gauges land in the telemetry JSON
-  // that run_sweep_report emits.
-  const int batch_rc = run_batch_report(batch);
-  const int rc = run_sweep_report(threads) | batch_rc;
+  const int rc = run_sweep_report(threads);
   if (report_only) return rc;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

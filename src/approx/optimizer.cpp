@@ -1,11 +1,12 @@
 #include "approx/optimizer.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <vector>
 
 #include "approx/roots.hpp"
-#include "models/batch_sweep.hpp"
+#include "models/warm_t_chain.hpp"
 
 namespace tags::approx {
 
@@ -28,20 +29,17 @@ bool score_is_better(const models::Metrics& a, const models::Metrics& b,
   return score(a, obj) < score(b, obj);
 }
 
-/// Warm-started integer scan shared by both model families. `batch > 1`
-/// solves that many adjacent grid points per batched factorisation
-/// (models::batched_t_chain); the scan result is identical at any width —
-/// the scored metrics come out of the same per-point solves.
+/// Warm-started integer scan shared by both model families.
 template <class Model, class Params>
 ExactOptimum integer_scan(const Params& p, Objective obj, unsigned t_lo, unsigned t_hi,
-                          unsigned stride = 1, std::size_t batch = 1) {
+                          unsigned stride = 1) {
   ExactOptimum best;
   double best_score = std::numeric_limits<double>::infinity();
   std::vector<double> ts;
   for (unsigned t = t_lo; t <= t_hi; t += stride) ts.push_back(static_cast<double>(t));
   ctmc::WarmStartState warm;
-  models::batched_t_chain<Model>(
-      p, ts, 0, ts.size(), batch, warm,
+  models::warm_t_chain<Model>(
+      p, ts, 0, ts.size(), warm,
       [&](std::size_t i, const ctmc::SteadyStateResult& solved, Model& model) {
         ++best.solves;
         if (!solved.converged) return;
@@ -59,24 +57,23 @@ ExactOptimum integer_scan(const Params& p, Objective obj, unsigned t_lo, unsigne
 }  // namespace
 
 ExactOptimum optimise_tags_t_integer(models::TagsParams p, Objective obj, unsigned t_lo,
-                                     unsigned t_hi, std::size_t batch) {
-  return integer_scan<models::TagsModel>(p, obj, t_lo, t_hi, 1, batch);
+                                     unsigned t_hi, std::size_t) {
+  return integer_scan<models::TagsModel>(p, obj, t_lo, t_hi);
 }
 
 ExactOptimum optimise_tags_h2_t_integer(models::TagsH2Params p, Objective obj,
-                                        unsigned t_lo, unsigned t_hi, std::size_t batch) {
-  return integer_scan<models::TagsH2Model>(p, obj, t_lo, t_hi, 1, batch);
+                                        unsigned t_lo, unsigned t_hi) {
+  return integer_scan<models::TagsH2Model>(p, obj, t_lo, t_hi);
 }
 
 ExactOptimum optimise_tags_h2_t_coarse(const models::TagsH2Params& p, Objective obj,
-                                       unsigned t_lo, unsigned t_hi, unsigned stride,
-                                       std::size_t batch) {
-  const ExactOptimum coarse = integer_scan<models::TagsH2Model>(
-      p, obj, t_lo, t_hi, std::max(1u, stride), batch);
+                                       unsigned t_lo, unsigned t_hi, unsigned stride) {
+  const ExactOptimum coarse =
+      integer_scan<models::TagsH2Model>(p, obj, t_lo, t_hi, std::max(1u, stride));
   const auto center = static_cast<unsigned>(coarse.t);
   const unsigned lo = center > t_lo + stride ? center - stride + 1 : t_lo;
   const unsigned hi = std::min(t_hi, center + stride - 1);
-  ExactOptimum fine = integer_scan<models::TagsH2Model>(p, obj, lo, hi, 1, batch);
+  ExactOptimum fine = integer_scan<models::TagsH2Model>(p, obj, lo, hi);
   fine.solves += coarse.solves;
   if (score_is_better(coarse.metrics, fine.metrics, obj)) return coarse;
   return fine;

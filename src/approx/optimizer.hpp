@@ -26,26 +26,25 @@ struct ExactOptimum {
 
 /// Scan integer t in [t_lo, t_hi] (warm-starting each solve from the
 /// previous stationary vector) and return the best integer rate — the
-/// paper's Figure 8 procedure. `batch > 1` packs that many adjacent scan
-/// points per batched direct solve (same scan result at any width; see
-/// DESIGN.md "Batched multi-point sweeps"); 0/1 keeps the scalar chain.
+/// paper's Figure 8 procedure. The trailing std::size_t is read by
+/// nothing: it sized the batched multi-point solve, which is gone, and
+/// perfbench/harness.cpp still passes it, so it stays until the next
+/// change to the benchmark deletes it there and here.
 [[nodiscard]] ExactOptimum optimise_tags_t_integer(models::TagsParams p, Objective obj,
                                                    unsigned t_lo = 10,
                                                    unsigned t_hi = 120,
-                                                   std::size_t batch = 1);
+                                                   std::size_t = 1);
 
 [[nodiscard]] ExactOptimum optimise_tags_h2_t_integer(models::TagsH2Params p,
                                                       Objective obj, unsigned t_lo = 2,
-                                                      unsigned t_hi = 120,
-                                                      std::size_t batch = 1);
+                                                      unsigned t_hi = 120);
 
 /// Two-phase integer scan: stride over [t_lo, t_hi], then refine every
 /// integer within +-(stride-1) of the coarse winner. ~stride-fold fewer
 /// solves for unimodal objectives.
 [[nodiscard]] ExactOptimum optimise_tags_h2_t_coarse(const models::TagsH2Params& p,
                                                      Objective obj, unsigned t_lo,
-                                                     unsigned t_hi, unsigned stride,
-                                                     std::size_t batch = 1);
+                                                     unsigned t_hi, unsigned stride);
 
 /// Continuous refinement: golden-section around an initial guess.
 [[nodiscard]] ExactOptimum optimise_tags_t(models::TagsParams p, Objective obj,

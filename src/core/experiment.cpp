@@ -6,7 +6,7 @@
 
 #include "core/sweep.hpp"
 #include "ctmc/digest.hpp"
-#include "models/batch_sweep.hpp"
+#include "models/warm_t_chain.hpp"
 #include "obs/obs.hpp"
 
 namespace tags::core {
@@ -40,16 +40,13 @@ namespace {
 
 /// One warm-started t-chain over [range): the body shared by the legacy
 /// sequential sweeps (one chain across the whole grid) and the sharded
-/// engine (one chain per shard, thread-local model instance). `batch > 1`
-/// packs that many adjacent points per solve (models::batched_t_chain);
-/// batch width never enters the shard plan or journal digest, so it is an
-/// execution knob like the thread count, not part of a sweep's identity.
+/// engine (one chain per shard, thread-local model instance).
 template <class Model, class Params>
 void eval_t_chain(const Params& base, const std::vector<double>& t_values,
                   ShardRange range, std::span<models::Metrics> out,
-                  ctmc::WarmStartState& warm, std::size_t batch = 1) {
-  models::batched_t_chain<Model>(
-      base, t_values, range.begin, range.end, batch, warm,
+                  ctmc::WarmStartState& warm) {
+  models::warm_t_chain<Model>(
+      base, t_values, range.begin, range.end, warm,
       [&](std::size_t i, const ctmc::SteadyStateResult& solved, Model& model) {
         out[i - range.begin] = model.metrics_from(solved.pi);
       });
@@ -61,12 +58,11 @@ std::vector<models::Metrics> model_t_sweep(const Params& base,
                                            const SweepPlan& plan, SweepStats* stats,
                                            const SweepJournalBinding<models::Metrics>*
                                                binding = nullptr) {
-  const std::size_t batch = plan.batch > 0 ? plan.batch : default_batch_width();
   return sharded_sweep<models::Metrics>(
       t_values.size(), plan,
       [&](ShardRange range, std::span<models::Metrics> out,
           ctmc::WarmStartState& warm) {
-        eval_t_chain<Model>(base, t_values, range, out, warm, batch);
+        eval_t_chain<Model>(base, t_values, range, out, warm);
       },
       stats, binding);
 }

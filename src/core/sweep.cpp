@@ -1,18 +1,8 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace tags::core {
-
-std::size_t default_batch_width() noexcept {
-  const char* env = std::getenv("TAGS_SWEEP_BATCH");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 64) return 1;
-  return static_cast<std::size_t>(v);
-}
 
 std::vector<double> linspace(double lo, double hi, std::size_t count) {
   std::vector<double> out;

@@ -43,23 +43,16 @@ struct ShardRange {
 
 /// Execution plan for a sharded sweep. `threads == 0` resolves to
 /// ThreadPool::default_threads() (TAGS_SWEEP_THREADS, else hardware
-/// concurrency); `shard_size == 0` resolves to default_shard_size(n);
-/// `batch == 0` resolves to default_batch_width() (TAGS_SWEEP_BATCH, else
-/// 1). Batch width — like thread count — is an execution knob only: it is
-/// excluded from sweep digests and the shard plan, so journals replay and
-/// direct-solver results stay bit-identical at any width (see DESIGN.md
-/// "Batched multi-point sweeps").
+/// concurrency); `shard_size == 0` resolves to default_shard_size(n).
 struct SweepPlan {
   unsigned threads = 0;
   std::size_t shard_size = 0;
+  /// Read by nothing: the batched multi-point solve it sized is gone.
+  /// perfbench/harness.cpp still names it in three designated
+  /// initializers, so it stays until the next change to the benchmark
+  /// deletes it there and here.
   std::size_t batch = 0;
 };
-
-/// Batch width when the plan leaves it 0: TAGS_SWEEP_BATCH when set to a
-/// well-formed integer in [1, 64] (malformed or out-of-range values are
-/// rejected, falling back rather than silently truncating), else 1
-/// (unbatched).
-[[nodiscard]] std::size_t default_batch_width() noexcept;
 
 /// Default shard size: a function of the grid size only (so results never
 /// depend on the machine), small enough to load-balance a many-core pool

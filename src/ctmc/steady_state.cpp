@@ -151,36 +151,6 @@ void close_attempt_span(obs::Span& span, const SteadyStateResult& res) {
   span.attr("converged", res.converged ? 1.0 : 0.0);
 }
 
-/// The dense-LU result from a non-singular factorization of A = Q^T with
-/// its last balance equation replaced by sum(pi) = 1 (||A||_1 in a_norm1):
-/// pi = A^{-1} e_n, clamped, normalised, checked and certified. A batched
-/// lane passes its extracted factorization, which holds lu_factor's bits,
-/// so it finishes exactly as the scalar solve does.
-SteadyStateResult dense_lu_result(const linalg::LuFactorization& f, double a_norm1,
-                                  const System& sys, const SteadyStateOptions& opts) {
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kDenseLu;
-  const std::size_t n = static_cast<std::size_t>(sys.n());
-  // The direct path is the one place a condition estimate is nearly free:
-  // Hager's iteration is a handful of O(n^2) triangular solves on a
-  // factorization we already hold.
-  const double condition = opts.certify ? linalg::condest_1(a_norm1, f) : 0.0;
-  Vec b(n, 0.0);
-  b[n - 1] = 1.0;
-  res.pi = f.solve(b);
-  for (double& v : res.pi) v = std::max(v, 0.0);
-  linalg::normalize_l1(res.pi);
-  Vec scratch(n);
-  const CsrMatrix& qt = sys.q.transpose_cache();
-  res.residual = balance_residual(qt, res.pi, scratch);
-  res.converged = std::isfinite(res.residual) &&
-                  res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
-  res.iterations = 1;
-  certify_result(res, qt, sys, opts, condition);
-  note_attempt(res);
-  return res;
-}
-
 SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& opts) {
   obs::Span span("solve/dense-lu");
   span.attr("n", static_cast<double>(sys.n()));
@@ -199,12 +169,27 @@ SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& op
   const double a_norm1 = opts.certify ? linalg::norm1(a) : 0.0;
   const linalg::LuFactorization f = linalg::lu_factor(std::move(a));
   SteadyStateResult res;
-  if (f.singular()) {
-    res.method_used = SteadyStateMethod::kDenseLu;
-    note_attempt(res);
-  } else {
-    res = dense_lu_result(f, a_norm1, sys, opts);
+  res.method_used = SteadyStateMethod::kDenseLu;
+  if (!f.singular()) {
+    // pi = A^{-1} e_n, clamped, normalised, checked and certified. The
+    // direct path is the one place a condition estimate is nearly free:
+    // Hager's iteration is a handful of O(n^2) triangular solves on a
+    // factorization we already hold.
+    const double condition = opts.certify ? linalg::condest_1(a_norm1, f) : 0.0;
+    Vec b(n, 0.0);
+    b[n - 1] = 1.0;
+    res.pi = f.solve(b);
+    for (double& v : res.pi) v = std::max(v, 0.0);
+    linalg::normalize_l1(res.pi);
+    Vec scratch(n);
+    const CsrMatrix& qt = sys.q.transpose_cache();
+    res.residual = balance_residual(qt, res.pi, scratch);
+    res.converged = std::isfinite(res.residual) &&
+                    res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
+    res.iterations = 1;
+    certify_result(res, qt, sys, opts, condition);
   }
+  note_attempt(res);
   close_attempt_span(span, res);
   return res;
 }
@@ -606,43 +591,6 @@ SteadyStateResult steady_state_impl(const System& sys, const SteadyStateOptions&
   return solve_auto(sys, opts);
 }
 
-/// The SolveRecord one solve leaves in the telemetry; wall time runs from
-/// `start_ns`.
-void record_steady_state(const SteadyStateResult& res, index_t n, double max_exit,
-                         std::uint64_t start_ns) {
-  if (!obs::metrics_on()) return;
-  obs::count("ctmc.steady_state.solves");
-  obs::SolveRecord rec;
-  rec.context = "steady_state";
-  rec.method = to_string(res.method_used);
-  rec.n = n;
-  rec.iterations = res.iterations;
-  rec.residual = res.residual;
-  rec.relative_residual = res.residual / std::max(1.0, max_exit);
-  rec.converged = res.converged;
-  rec.diverged = !std::isfinite(res.residual);
-  rec.certified = res.certificate.ok();
-  rec.condition = res.certificate.condition;
-  rec.wall_ms = static_cast<double>(obs::now_ns() - start_ns) / 1e6;
-  append_attempts(rec, res.attempts);
-  obs::record_solve(std::move(rec));
-}
-
-/// Whether dense LU is the first stage kAuto runs on an n-state chain. The
-/// stage ahead of it, NCD-AD, gates on the rates, so a batch can decide
-/// once for all of its lanes only when that stage is out of range.
-bool dense_lu_first(index_t n, const SteadyStateOptions& opts) {
-  for (const Stage& stage : kAutoChain) {
-    if (stage.enabled(n, opts)) return stage.method == SteadyStateMethod::kDenseLu;
-  }
-  return false;
-}
-
-/// Storage cap for the batched dense factorisation (doubles). Above this
-/// the lanes solve one by one through the scalar path instead — same bits,
-/// just without the lockstep speedup.
-constexpr std::size_t kDenseBatchCapDoubles = 16ull << 20;  // 128 MiB
-
 }  // namespace
 
 SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOptions& opts) {
@@ -659,105 +607,29 @@ SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOpti
   const System sys(q);
   SteadyStateResult res = steady_state_impl(sys, opts);
   root_span.attr("method_used", to_string(res.method_used));
-  record_steady_state(res, q.rows(), sys.max_exit, start_ns);
+  if (obs::metrics_on()) {
+    obs::count("ctmc.steady_state.solves");
+    obs::SolveRecord rec;
+    rec.context = "steady_state";
+    rec.method = to_string(res.method_used);
+    rec.n = q.rows();
+    rec.iterations = res.iterations;
+    rec.residual = res.residual;
+    rec.relative_residual = res.residual / std::max(1.0, sys.max_exit);
+    rec.converged = res.converged;
+    rec.diverged = !std::isfinite(res.residual);
+    rec.certified = res.certificate.ok();
+    rec.condition = res.certificate.condition;
+    rec.wall_ms = static_cast<double>(obs::now_ns() - start_ns) / 1e6;
+    append_attempts(rec, res.attempts);
+    obs::record_solve(std::move(rec));
+  }
   return res;
 }
 
 SteadyStateResult steady_state(const Ctmc& chain, const SteadyStateOptions& opts) {
   assert(chain.n_states() > 0);
   return steady_state(chain.generator(), opts);
-}
-
-std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& vals,
-                                                  const SteadyStateOptions& opts) {
-  const std::size_t w = vals.width();
-  std::vector<SteadyStateResult> out(w);
-  if (w == 0) return out;
-  const CsrMatrix& pattern = vals.pattern();
-  assert(pattern.rows() > 0 && pattern.rows() == pattern.cols());
-  const std::size_t n = static_cast<std::size_t>(pattern.rows());
-  obs::Span root_span("ctmc/steady_state_batch");
-  root_span.attr("n", static_cast<double>(n));
-  root_span.attr("width", static_cast<double>(w));
-  root_span.attr("method", to_string(opts.method));
-
-  // Lanes are factored in lockstep only when dense LU is the first stage
-  // the request runs; the scalar solver would start there at every point,
-  // so each lane's attempt list is the scalar one. Every other request,
-  // and any lane the batch cannot accept (singular, failed certificate
-  // under kAuto), runs the scalar chain lane by lane.
-  std::vector<unsigned char> done(w, 0);
-  const bool dense_first =
-      opts.method == SteadyStateMethod::kDenseLu ||
-      (opts.method == SteadyStateMethod::kAuto && dense_lu_first(pattern.rows(), opts));
-  if (dense_first && w > 1 && n * n * w <= kDenseBatchCapDoubles) {
-    obs::Span span("solve/dense-lu-batch");
-    span.attr("n", static_cast<double>(n));
-    span.attr("width", static_cast<double>(w));
-    // A_b = Q_b^T with the last balance row replaced by ones, assembled
-    // lane-interleaved straight from the shared pattern.
-    std::vector<double> a(n * n * w, 0.0);
-    const double* v = vals.values().data();
-    const index_t* cbase = pattern.row_cols(0).data();
-    for (index_t i = 0; i < pattern.rows(); ++i) {
-      const auto cs = pattern.row_cols(i);
-      const std::size_t base = static_cast<std::size_t>(cs.data() - cbase);
-      for (std::size_t k = 0; k < cs.size(); ++k) {
-        double* dst =
-            a.data() + (static_cast<std::size_t>(cs[k]) * n + static_cast<std::size_t>(i)) * w;
-        const double* ev = v + (base + k) * w;
-        for (std::size_t b = 0; b < w; ++b) dst[b] = ev[b];
-      }
-    }
-    double* last = a.data() + (n - 1) * n * w;
-    for (std::size_t j = 0; j < n * w; ++j) last[j] = 1.0;
-    // Per-lane ||A||_1 before factoring, in linalg::norm1's exact
-    // accumulation order (column-major sums, rows ascending).
-    std::vector<double> a_norm1(w, 0.0);
-    if (opts.certify) {
-      std::vector<double> col(w);
-      for (std::size_t j = 0; j < n; ++j) {
-        std::fill(col.begin(), col.end(), 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          const double* e = a.data() + (i * n + j) * w;
-          for (std::size_t b = 0; b < w; ++b) col[b] += std::abs(e[b]);
-        }
-        for (std::size_t b = 0; b < w; ++b) a_norm1[b] = std::max(a_norm1[b], col[b]);
-      }
-    }
-    linalg::BatchLuFactorization f;
-    f.factor_packed(n, w, std::move(a));
-    for (std::size_t b = 0; b < w; ++b) {
-      if (f.singular(b)) continue;  // scalar chain re-derives the failure
-      const std::uint64_t lane_start = obs::now_ns();
-      // The lane's standalone matrix, so the residual, certificate and
-      // every other downstream bit equal the scalar path's.
-      const CsrMatrix lane_q = vals.lane_matrix(b);
-      const System sys(lane_q);
-      SteadyStateResult res = dense_lu_result(f.extract_lane(b), a_norm1[b], sys, opts);
-      if (opts.method == SteadyStateMethod::kDenseLu || accepted(res, opts)) {
-        record_steady_state(res, pattern.rows(), sys.max_exit, lane_start);
-        out[b] = std::move(res);
-        done[b] = 1;
-      }
-    }
-  }
-
-  // Walk the lanes in ascending order, chaining warm starts like
-  // consecutive points of a scalar sweep: lane b starts from the last
-  // converged lane before it (from opts.initial_guess for the first). Direct
-  // solves ignore the guess, but a lane that runs the scalar chain must see
-  // the guess the scalar sequence would have carried to that point.
-  std::optional<Vec> guess = opts.initial_guess;
-  for (std::size_t b = 0; b < w; ++b) {
-    if (!done[b]) {
-      SteadyStateOptions lo = opts;
-      lo.initial_guess = guess;
-      out[b] = steady_state(vals.lane_matrix(b), lo);
-    }
-    if (out[b].converged) guess = out[b].pi;
-  }
-  return out;
 }
 
 void reconcile_warm_start(SteadyStateOptions& opts, index_t n_states) {

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
-#include "linalg/batch.hpp"
 #include "linalg/certify.hpp"
 #include "linalg/ncd.hpp"
 #include "linalg/solver.hpp"
@@ -125,21 +124,6 @@ struct SteadyStateResult {
 
 [[nodiscard]] SteadyStateResult steady_state(const Ctmc& chain,
                                              const SteadyStateOptions& opts = {});
-
-/// Batched multi-point solve: W generators sharing one frozen sparsity
-/// pattern (a linalg::CsrValueBatch) solved together. When dense LU is the
-/// first stage the request runs (kDenseLu, or kAuto on a chain of at most
-/// 1200 states with NCD-AD out of range), all W systems are factored in
-/// SIMD lockstep; lane b's result — pi, residual, certificate, attempt
-/// list — is bit-identical to `steady_state(<lane b's matrix>, <lane b's
-/// options>)`, where lane b's initial guess chains through the batch
-/// exactly like a scalar sweep (the last converged lane before b, starting
-/// from opts.initial_guess). Certification stays per point: every lane gets
-/// its own independently recomputed certificate, and any lane the batched
-/// factorisation cannot accept (singular, failed certificate), like every
-/// lane of any other request, runs the full scalar chain on its own.
-[[nodiscard]] std::vector<SteadyStateResult> steady_state_batch(
-    const linalg::CsrValueBatch& vals, const SteadyStateOptions& opts = {});
 
 /// Drop a warm-start guess whose dimension no longer matches the chain
 /// about to be solved (sweeps that cross a structural-parameter boundary

@@ -54,7 +54,6 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
   span.attr("n", static_cast<double>(n));
 
   const Vec diag = a.diagonal();
-  const double omega = opts.omega;
   Vec scratch(n);
   const double initial_residual = a.residual_inf(x, b, scratch);
   const double b_norm = nrm_inf(b);
@@ -80,7 +79,7 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
   }
 
   for (res.iterations = 0; res.iterations < opts.max_iter; ++res.iterations) {
-    const double max_update = detail::gs_sweep_range(a, b, x, diag, omega, 0, a.rows());
+    const double max_update = detail::gs_sweep_range(a, b, x, diag, 0, a.rows());
     // The update norm is only a proxy; confirm with the true residual, but
     // not every sweep (it costs one SpMV).
     const bool check_now = max_update <= opts.tol || (res.iterations & 31) == 31;

@@ -31,10 +31,6 @@ class LuFactorization {
   [[nodiscard]] double log_abs_det() const noexcept;
 
   friend LuFactorization lu_factor(DenseMatrix a);
-  // The batched factorisation (linalg/batch.hpp) eliminates W matrices in
-  // lockstep and hands back per-lane scalar factorizations; extraction
-  // needs to populate the private state directly.
-  friend class BatchLuFactorization;
 
  private:
   DenseMatrix lu_;

@@ -269,15 +269,15 @@ NcdSolveResult ncd_steady_state(const CsrMatrix& q, const NcdPartition& p,
     // --- Disaggregation: censored Gauss-Seidel per block. Blocks sweep in
     // ascending order; boundary inflow reads the latest global x, so later
     // blocks already see this pass's corrections (block Gauss-Seidel, not
-    // Jacobi). Solving Q^T x = 0 censored to the block with omega = 1 is
-    // bit-for-bit the flat solver's row update. ---
+    // Jacobi). Solving Q^T x = 0 censored to the block is bit-for-bit the
+    // flat solver's plain Gauss-Seidel row update. ---
     {
       obs::Span dis("ncd/disaggregate");
       for (index_t b = 0; b < blocks; ++b) {
         const index_t lo = p.block_ptr[static_cast<std::size_t>(b)];
         const index_t hi = p.block_ptr[static_cast<std::size_t>(b) + 1];
         for (int s = 0; s < inner; ++s) {
-          (void)detail::gs_sweep_range(qtp, zero, x, diag, 1.0, lo, hi);
+          (void)detail::gs_sweep_range(qtp, zero, x, diag, lo, hi);
         }
         res.sweeps += inner;
       }

@@ -1,4 +1,4 @@
-// Gauss-Seidel/SOR for a general sparse linear system, with the result type
+// Gauss-Seidel for a general sparse linear system, with the result type
 // the observability layer records.
 //
 // Solves A x = b for square, nonsingular A in CSR form, starting from the
@@ -18,7 +18,6 @@ namespace tags::linalg {
 struct SolveOptions {
   double tol = 1e-12;       ///< max-norm residual target
   int max_iter = 50000;     ///< sweep budget
-  double omega = 1.0;       ///< SOR relaxation factor (1 = plain Gauss-Seidel)
 };
 
 struct SolveResult {

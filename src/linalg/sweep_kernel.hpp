@@ -27,16 +27,13 @@ namespace tags::linalg::detail {
 }
 
 /// One Gauss-Seidel sweep over rows [lo, hi) of A (CSR) for the system
-/// A x = b with relaxation `omega`, updating x in place. Entries of x
-/// outside [lo, hi) are read but never written — updated rows see each
-/// other's new values (classic GS), boundary rows keep their current
-/// values. Returns the largest absolute update, the solver's cheap
-/// stagnation proxy. The arithmetic (accumulation order, relaxation blend)
-/// is the historical gauss_seidel loop verbatim, so the full-matrix solver
-/// is bit-identical through this kernel.
+/// A x = b, updating x in place. Entries of x outside [lo, hi) are read
+/// but never written — updated rows see each other's new values (classic
+/// GS), boundary rows keep their current values. Returns the largest
+/// absolute update, the solver's cheap stagnation proxy.
 inline double gs_sweep_range(const CsrMatrix& a, std::span<const double> b,
                              std::span<double> x, std::span<const double> diag,
-                             double omega, index_t lo, index_t hi) noexcept {
+                             index_t lo, index_t hi) noexcept {
   double max_update = 0.0;
   for (index_t i = lo; i < hi; ++i) {
     const auto cs = a.row_cols(i);
@@ -46,8 +43,7 @@ inline double gs_sweep_range(const CsrMatrix& a, std::span<const double> b,
     for (std::size_t k = 0; k < cs.size(); ++k) {
       if (cs[k] != i) off += vs[k] * x[static_cast<std::size_t>(cs[k])];
     }
-    const double gs = (b[ii] - off) / diag[ii];
-    const double next = (1.0 - omega) * x[ii] + omega * gs;
+    const double next = (b[ii] - off) / diag[ii];
     max_update = std::max(max_update, std::abs(next - x[ii]));
     x[ii] = next;
   }

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "approx/balance.hpp"
 #include "approx/mm1k_composition.hpp"
 #include "approx/optimizer.hpp"
 #include "approx/roots.hpp"
 #include "models/tags.hpp"
+#include "models/tags_h2.hpp"
 
 namespace {
 
@@ -159,6 +161,30 @@ TEST(Optimizer, ContinuousRefinementConsistent) {
   const auto integer = optimise_tags_t_integer(p, Objective::kMinQueueLength, 10, 120);
   EXPECT_NEAR(cont.t, integer.t, 2.0);
   EXPECT_LE(cont.metrics.mean_total, integer.metrics.mean_total + 1e-6);
+}
+
+TEST(Optimizer, CoarseScanFindsTheFullScanOptimum) {
+  // The fig11/fig12 procedure on the 221-state H2 chain: a stride-6 scan
+  // plus a refinement around its winner must land on the full integer
+  // scan's optimum, with the same metric bytes, for fewer solves.
+  models::TagsH2Params p;
+  p.n = 3;
+  p.k1 = p.k2 = 2;
+  const struct {
+    Objective obj;
+    double t;
+  } cases[] = {{Objective::kMinQueueLength, 5.0},
+               {Objective::kMinResponseTime, 7.0},
+               {Objective::kMaxThroughput, 28.0}};
+  for (const auto& c : cases) {
+    const auto full = optimise_tags_h2_t_integer(p, c.obj, 4, 60);
+    const auto coarse = optimise_tags_h2_t_coarse(p, c.obj, 4, 60, 6);
+    EXPECT_EQ(full.t, c.t);
+    EXPECT_EQ(coarse.t, full.t);
+    EXPECT_EQ(std::memcmp(&coarse.metrics, &full.metrics, sizeof full.metrics), 0);
+    EXPECT_EQ(full.solves, 57);
+    EXPECT_LT(coarse.solves, full.solves);
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Linear Gauss-Seidel/SOR tests: diagonally dominant random systems solve
+// Linear Gauss-Seidel tests: diagonally dominant random systems solve
 // to tolerance, the sweep budget holds, and a zero diagonal fails
 // explicitly instead of poisoning the iterate.
 #include <gtest/gtest.h>
@@ -73,20 +73,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SolverTest, ::testing::Values(1, 2, 8, 32, 128, 
                            name += std::to_string(info.param);
                            return name;
                          });
-
-TEST(SolverEdge, SorRelaxationConverges) {
-  const CsrMatrix a = diag_dominant(64, 5);
-  Vec x_true(64, 2.0);
-  Vec b(64);
-  a.multiply(x_true, b);
-  Vec x(64, 0.0);
-  SolveOptions opts;
-  opts.tol = 1e-10;
-  opts.omega = 1.1;
-  const SolveResult r = gauss_seidel(a, b, x, opts);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(max_abs_diff(x, x_true), 0.0, 1e-7);
-}
 
 TEST(SolverEdge, IterationBudgetRespected) {
   const CsrMatrix a = diag_dominant(256, 6);

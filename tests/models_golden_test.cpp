@@ -2,11 +2,11 @@
 // TAGS t-sweep) and fig09 (H2 TAGS) sample points. The values are exact
 // answers from direct solves: dense LU on the 5751-state exponential
 // chains, and a block-tridiagonal direct solve on the 12831-state H2
-// chains. The exponential fixtures re-solve with dense LU; the H2 fixtures
-// re-solve with Gauss-Seidel run to a residual of 1e-15, which lands
-// within 4e-11 (scaled) of every H2 value. Drift there means a model's
-// transition structure or measure extraction changed; a separate check
-// holds the default solver chain to its accuracy.
+// chains. Both families re-solve with Gauss-Seidel run to a residual of
+// 1e-15, which lands within 1e-12 (scaled) of every exponential value and
+// within 4e-11 of every H2 value. Drift there means a model's transition
+// structure or measure extraction changed; a separate check holds the
+// default solver chain to its accuracy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,16 +58,11 @@ models::TagsH2Model h2_at(double t) {
   return models::TagsH2Model(models::TagsH2Params::from_ratio(11.0, 0.99, 100.0, 0.1, t));
 }
 
-ctmc::SteadyStateOptions solved_by(ctmc::SteadyStateMethod method) {
-  ctmc::SteadyStateOptions o;
-  o.method = method;
-  return o;
-}
-
 /// Gauss-Seidel run to a residual of 1e-15: the reference for chains too
-/// large for dense LU.
+/// large for dense LU, at a fraction of a dense solve's time.
 ctmc::SteadyStateOptions tight_gauss_seidel() {
-  ctmc::SteadyStateOptions o = solved_by(ctmc::SteadyStateMethod::kGaussSeidel);
+  ctmc::SteadyStateOptions o;
+  o.method = ctmc::SteadyStateMethod::kGaussSeidel;
   o.tol = 1e-15;
   o.max_iter = 5000000;
   return o;
@@ -86,8 +81,8 @@ void expect_matches(const models::Metrics& m, const GoldenPoint& g, Tol tol) {
   near(m.response_time, g.response_time, "response_time");
 }
 
-// A direct solve reproduces the exact values up to rounding, and the tight
-// Gauss-Seidel reference comes within 4e-11 of them.
+// The tight Gauss-Seidel reference comes within 4e-11 (scaled) of the
+// exact values.
 const auto kDirectTol = [](double golden) { return 1e-9 * std::max(1.0, std::abs(golden)); };
 
 // The default chain stops Gauss-Seidel at ||pi Q||_inf <= 1e-11 * max exit
@@ -96,8 +91,7 @@ const auto kDefaultChainTol = [](double golden) { return 1e-6 * std::abs(golden)
 
 TEST(GoldenRegression, TagsExponentialTimeoutSweep) {
   for (const GoldenPoint& g : kTagsGolden) {
-    expect_matches(tags_at(g.t).metrics(solved_by(ctmc::SteadyStateMethod::kDenseLu)), g,
-                   kDirectTol);
+    expect_matches(tags_at(g.t).metrics(tight_gauss_seidel()), g, kDirectTol);
   }
 }
 
