@@ -77,11 +77,12 @@ inline core::SweepPlan sweep_plan_from_args(int argc, char** argv) {
 /// printed above it should not be trusted without a look at the solve log.
 inline void print_sweep_stats(const core::SweepStats& stats) {
   std::printf("[sweep: %zu points, %zu shards (%zu resumed), %u threads; warm-start "
-              "hits/misses/cleared %llu/%llu/%llu; uncertified %llu]\n",
+              "hits/misses/cleared/predicted %llu/%llu/%llu/%llu; uncertified %llu]\n",
               stats.points, stats.shards, stats.resumed, stats.threads,
               static_cast<unsigned long long>(stats.warm.hits),
               static_cast<unsigned long long>(stats.warm.misses),
               static_cast<unsigned long long>(stats.warm.cleared),
+              static_cast<unsigned long long>(stats.warm.predicted),
               static_cast<unsigned long long>(stats.warm.uncertified));
 }
 

@@ -73,7 +73,8 @@ int run_sweep_report(unsigned parallel_threads) {
   const bool counters_match =
       serial_stats.warm.hits == parallel_stats.warm.hits &&
       serial_stats.warm.misses == parallel_stats.warm.misses &&
-      serial_stats.warm.cleared == parallel_stats.warm.cleared;
+      serial_stats.warm.cleared == parallel_stats.warm.cleared &&
+      serial_stats.warm.predicted == parallel_stats.warm.predicted;
   const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
 
   std::printf("fig07 t-sweep over %zu points, %zu shards: serial %.2f ms, "
@@ -82,11 +83,12 @@ int run_sweep_report(unsigned parallel_threads) {
               parallel_stats.threads, parallel_ms,
               speedup, core::ThreadPool::default_threads());
   std::printf("parallel table bit-identical to serial: %s; warm-start "
-              "counters match: %s (hits/misses/cleared %llu/%llu/%llu)\n",
+              "counters match: %s (hits/misses/cleared/predicted %llu/%llu/%llu/%llu)\n",
               identical ? "yes" : "NO", counters_match ? "yes" : "NO",
               static_cast<unsigned long long>(parallel_stats.warm.hits),
               static_cast<unsigned long long>(parallel_stats.warm.misses),
-              static_cast<unsigned long long>(parallel_stats.warm.cleared));
+              static_cast<unsigned long long>(parallel_stats.warm.cleared),
+              static_cast<unsigned long long>(parallel_stats.warm.predicted));
 
   obs::gauge_set("bench.micro_sweep.points",
                  static_cast<double>(scenario.t_values.size()));

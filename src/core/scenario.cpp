@@ -237,6 +237,9 @@ struct ScenarioSlot::Impl {
   std::string structure;
   std::uint64_t digest = 0;
   ctmc::WarmStartState warm;
+  /// The t-line the warm starts extrapolate along: the rate digest of the
+  /// last TAGS request with t left out. Any other change restarts it.
+  std::uint64_t line = 0;
 
   void reset() {
     tags.reset();
@@ -361,7 +364,16 @@ ScenarioOutcome ScenarioSlot::evaluate(const ScenarioRequest& req,
   next.initial_guess = std::move(s.warm.opts.initial_guess);
   if (!next.ncd_cache) next.ncd_cache = std::move(s.warm.opts.ncd_cache);
   s.warm.opts = std::move(next);
-  s.warm.reconcile(s.active->n_states());
+  if (req.policy == PolicyKind::kTags || req.policy == PolicyKind::kTagsH2) {
+    ScenarioRequest off_t = req;
+    off_t.t = 0.0;
+    const std::uint64_t line = rate_digest(off_t);
+    if (line != s.line) s.warm.restart_line();
+    s.line = line;
+    s.warm.reconcile(s.active->chain().generator(), req.t);
+  } else {
+    s.warm.reconcile(s.active->n_states());
+  }
   ctmc::SteadyStateResult solved = s.active->solve(s.warm.opts);
   s.warm.accept(solved);
 

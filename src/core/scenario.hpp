@@ -149,7 +149,10 @@ struct ScenarioOutcome {
 /// A reusable evaluation slot holding at most one assembled model. Re-used
 /// with a request of the same structure key, it rebinds rates on the frozen
 /// sparsity pattern and warm-starts from the previous solve (the
-/// ctmc::WarmStartState machinery); a different structure rebuilds. A
+/// ctmc::WarmStartState machinery); a different structure rebuilds. TAGS
+/// requests that differ only in t lie on one line, t its coordinate, so a
+/// solve may start from the extrapolation of the line's last points; a
+/// change of structure or of any other rate starts a new line. A
 /// default-constructed slot evaluated once is exactly the one-shot path.
 /// Not thread-safe: the server wraps each slot in its own mutex.
 class ScenarioSlot {
@@ -166,7 +169,8 @@ class ScenarioSlot {
   [[nodiscard]] ScenarioOutcome evaluate(const ScenarioRequest& req,
                                          const ctmc::SteadyStateOptions& opts = {});
 
-  /// Warm-start counters accumulated by this slot (hits/misses/cleared).
+  /// Warm-start counters accumulated by this slot (hits/misses/cleared/
+  /// predicted).
   [[nodiscard]] const ctmc::WarmStartState& warm() const noexcept;
 
  private:

@@ -141,6 +141,7 @@ template <class R, class ShardEval>
           warm[s].misses = wc[1];
           warm[s].cleared = wc[2];
           warm[s].uncertified = wc[3];
+          warm[s].predicted = wc[4];
           resumed[s] = 1;
           span.attr("resumed", 1.0);
           return;
@@ -157,7 +158,7 @@ template <class R, class ShardEval>
       binding->journal->commit_shard(
           s, w.bytes(),
           store::WarmCounters{warm[s].hits, warm[s].misses, warm[s].cleared,
-                              warm[s].uncertified},
+                              warm[s].uncertified, warm[s].predicted},
           elapsed_ms);
       return;
     }

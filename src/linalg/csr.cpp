@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 
+#include "linalg/inflow_rows.hpp"
 #include "obs/obs.hpp"
 
 namespace tags::linalg {
@@ -14,12 +15,15 @@ namespace tags::linalg {
 /// entry back to its source slot in the parent's value array. The parent's
 /// sparsity pattern is frozen once built (rate rebinding rewrites values
 /// only), so invalidation just flips `fresh` and the next reader refreshes
-/// values through `src` without touching structure.
+/// values through `src` without touching structure. The Gauss-Seidel copy
+/// derived from the transpose goes stale with it and refreshes separately.
 struct CsrMatrix::TransposeCache {
   CsrMatrix t;                    // the transpose, rows sorted by column
   std::vector<std::size_t> src;   // t.val_[k] == parent.val_[src[k]]
-  std::mutex refresh_mu;          // serialises the value refresh
+  std::mutex refresh_mu;          // serialises the value refreshes
   std::atomic<bool> fresh{true};  // false after a rebind, until refreshed
+  std::unique_ptr<InflowRows> inflow;    // built on first inflow_cache()
+  std::atomic<bool> inflow_fresh{false};  // false after a rebind, until refreshed
 };
 
 CsrMatrix::CsrMatrix(const CsrMatrix& other)
@@ -212,9 +216,29 @@ const CsrMatrix& CsrMatrix::transpose_cache() const {
   return c->t;
 }
 
+const InflowRows& CsrMatrix::inflow_cache() const {
+  const CsrMatrix& t = transpose_cache();
+  TransposeCache* c = tcache_.load(std::memory_order_acquire);
+  if (!c->inflow_fresh.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(c->refresh_mu);
+    if (!c->inflow_fresh.load(std::memory_order_relaxed)) {
+      if (c->inflow) {
+        const obs::Span span("linalg/inflow_refresh");
+        c->inflow->refresh(t);
+      } else {
+        const obs::Span span("linalg/inflow_fill");
+        c->inflow = std::make_unique<InflowRows>(t);
+      }
+      c->inflow_fresh.store(true, std::memory_order_release);
+    }
+  }
+  return *c->inflow;
+}
+
 void CsrMatrix::invalidate_transpose_cache() const noexcept {
   if (TransposeCache* c = tcache_.load(std::memory_order_acquire)) {
     c->fresh.store(false, std::memory_order_release);
+    c->inflow_fresh.store(false, std::memory_order_release);
   }
 }
 

@@ -13,6 +13,8 @@
 
 namespace tags::linalg {
 
+class InflowRows;
+
 class CsrMatrix {
  public:
   CsrMatrix() = default;
@@ -55,6 +57,12 @@ class CsrMatrix {
   /// requires the same external synchronisation the rebind itself does.
   /// The reference stays valid for the lifetime of this matrix.
   [[nodiscard]] const CsrMatrix& transpose_cache() const;
+
+  /// The Gauss-Seidel solver's diagonal-free copy of the transpose (see
+  /// linalg/inflow_rows.hpp), cached with it: built on first use and, after
+  /// a rate rebind, refreshed in place from the refreshed transpose. The
+  /// same synchronisation rules as transpose_cache apply.
+  [[nodiscard]] const InflowRows& inflow_cache() const;
 
   /// Vector of diagonal entries (zero where absent).
   [[nodiscard]] Vec diagonal() const;

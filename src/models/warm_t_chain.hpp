@@ -1,6 +1,8 @@
 // The warm-started t-chain every t-sweep shard and integer-t optimiser scan
 // runs: rebind the model to each grid point in turn, reconcile the warm
-// start, solve, and accept the result as the next point's initial guess.
+// start with t as the line's coordinate (so from the third point on, a
+// solve may start from an extrapolation of the points before it), solve,
+// and accept the result onto the line.
 #pragma once
 
 #include <cstddef>
@@ -12,8 +14,8 @@
 namespace tags::models {
 
 /// Walk grid points [begin, end) of `t_values` in order, binding `Model`
-/// to each point once, solving it warm-started from the previous point,
-/// and invoking
+/// to each point once, solving it warm-started from the points before it
+/// on the chain, and invoking
 ///   per_point(global_index, result, model)
 /// with the model bound to that point's parameters (for metrics
 /// extraction).
@@ -32,7 +34,7 @@ void warm_t_chain(const Params& base, const std::vector<double>& t_values,
     } else {
       model.emplace(p);
     }
-    warm.reconcile(model->n_states());
+    warm.reconcile(model->chain().generator(), p.t);
     const auto solved = model->solve(warm.opts);
     warm.accept(solved);
     per_point(i, solved, *model);

@@ -55,7 +55,7 @@ std::vector<std::uint8_t> encode_record(const Record& r) {
 std::optional<Record> decode_record(std::span<const std::uint8_t> bytes) {
   BufReader rd(bytes);
   const std::uint32_t schema = rd.get_u32();
-  if (schema != kRecordSchemaVersion) return std::nullopt;
+  if (schema != 1 && schema != kRecordSchemaVersion) return std::nullopt;
   Record r;
   const std::uint16_t kind = rd.get_u16();
   if (kind != static_cast<std::uint16_t>(RecordKind::kAnswer) &&
@@ -73,7 +73,8 @@ std::optional<Record> decode_record(std::span<const std::uint8_t> bytes) {
   r.cert.mass_error = rd.get_f64();
   r.cert.condition = rd.get_f64();
   r.solve_ms = rd.get_f64();
-  for (std::uint64_t& c : r.warm) c = rd.get_u64();
+  const std::size_t counters = schema == 1 ? 4 : r.warm.size();
+  for (std::size_t i = 0; i < counters; ++i) r.warm[i] = rd.get_u64();
   r.payload_digest = rd.get_u64();
   r.payload = rd.get_bytes();
   if (!rd.ok() || !rd.at_end()) return std::nullopt;

@@ -17,8 +17,10 @@
 namespace tags::store {
 
 /// Record-envelope schema. Bumped on any change to encode_record's layout;
-/// decoders reject versions they do not know rather than misparse.
-inline constexpr std::uint32_t kRecordSchemaVersion = 1;
+/// decoders reject versions they do not know rather than misparse. Version
+/// 2 added the fifth warm-start counter; version-1 records still decode,
+/// with that counter 0.
+inline constexpr std::uint32_t kRecordSchemaVersion = 2;
 
 enum class RecordKind : std::uint16_t {
   kAnswer = 1,  ///< one served/one-shot scenario answer (payload: serve codec)
@@ -54,10 +56,10 @@ struct CertSummary {
   double condition = 0.0;   ///< cond_1 estimate (0: not computed)
 };
 
-/// Warm-start telemetry snapshot (hits, misses, cleared, uncertified) —
-/// journalled per shard so a resumed sweep reports counters identical to
-/// the uninterrupted run.
-using WarmCounters = std::array<std::uint64_t, 4>;
+/// Warm-start telemetry snapshot (hits, misses, cleared, uncertified,
+/// predicted) — journalled per shard so a resumed sweep reports counters
+/// identical to the uninterrupted run.
+using WarmCounters = std::array<std::uint64_t, 5>;
 
 struct Record {
   RecordKey key;

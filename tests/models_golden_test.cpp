@@ -126,4 +126,23 @@ TEST(GoldenRegression, RebindReachesSamePointAsFreshBuild) {
   EXPECT_EQ(swept.response_time, direct.response_time);
 }
 
+// The Gauss-Seidel copy of Q^T is cached with the generator and refreshed
+// in place by a rebind. A chain solved, rebound and solved again must sweep
+// exactly as a chain built at the new rates: same sweeps, same bits.
+TEST(GaussSeidelSweeps, CopyRefreshedByRebindSolvesLikeAFreshBuild) {
+  ctmc::SteadyStateOptions gs;
+  gs.method = ctmc::SteadyStateMethod::kGaussSeidel;
+  models::TagsParams p;
+  p.t = 30.0;
+  models::TagsModel m(p);
+  ASSERT_TRUE(m.solve(gs).converged);
+  p.t = 51.0;
+  m.rebind(p);
+  const auto rebound = m.solve(gs);
+  const auto fresh = models::TagsModel(p).solve(gs);
+  EXPECT_EQ(rebound.iterations, fresh.iterations);
+  EXPECT_EQ(rebound.residual, fresh.residual);
+  EXPECT_EQ(rebound.pi, fresh.pi);
+}
+
 }  // namespace

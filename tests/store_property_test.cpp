@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "store/codec.hpp"
 #include "store/record.hpp"
 #include "store/store.hpp"
 
@@ -63,7 +64,7 @@ Record random_record(std::mt19937& rng) {
   std::uniform_real_distribution<double> real(-1e6, 1e6);
   r.cert = {(rng() & 1) != 0, (rng() & 1) != 0, real(rng), real(rng), real(rng)};
   r.solve_ms = real(rng);
-  r.warm = {rng(), rng(), rng(), rng()};
+  r.warm = {rng(), rng(), rng(), rng(), rng()};
   r.payload.resize(rng() % 512);
   for (auto& b : r.payload) b = static_cast<std::uint8_t>(rng() & 0xff);
   return r;
@@ -376,6 +377,39 @@ TEST(StoreProperty, EnvelopeCodecRejectsTampering) {
     EXPECT_FALSE(store::decode_record(tampered).has_value());
   }
   EXPECT_FALSE(store::decode_record({}).has_value());
+}
+
+// A record written before the fifth warm-start counter existed (schema 1,
+// four counters) still decodes, with that counter 0; encoding it again
+// writes the current schema.
+TEST(StoreProperty, SchemaOneRecordDecodesWithoutItsFifthCounter) {
+  const std::vector<std::uint8_t> payload{7, 1, 2};
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a, as the envelope uses
+  for (const std::uint8_t b : payload) digest = (digest ^ b) * 1099511628211ull;
+  store::BufWriter w;
+  w.put_u32(1);
+  w.put_u16(static_cast<std::uint16_t>(RecordKind::kShard));
+  w.put_str("tags_t_sweep");
+  w.put_u64(11);
+  w.put_u64(3);
+  w.put_u8(1);
+  w.put_u8(1);
+  w.put_f64(1e-12);
+  w.put_f64(0.0);
+  w.put_f64(0.0);
+  w.put_f64(2.5);
+  for (const std::uint64_t c : {2u, 1u, 0u, 0u}) w.put_u64(c);
+  w.put_u64(digest);
+  w.put_bytes(payload);
+
+  const auto decoded = store::decode_record(std::move(w).take());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->key.name, "tags_t_sweep");
+  EXPECT_EQ(decoded->warm, (store::WarmCounters{2, 1, 0, 0, 0}));
+  EXPECT_EQ(decoded->payload, payload);
+  const auto again = store::decode_record(store::encode_record(*decoded));
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(record_eq(*again, *decoded));
 }
 
 }  // namespace

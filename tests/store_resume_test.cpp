@@ -126,6 +126,7 @@ class StoreResume : public ::testing::Test {
     core::SweepStats ref_stats;
     const auto reference =
         core::tags_t_sweep(reduced_model(), grid(), plan(2), &ref_stats, nullptr);
+    EXPECT_GT(ref_stats.warm.predicted, 0u);  // each shard's third point
 
     const auto dir = fresh_dir(tag);
     ASSERT_TRUE(run_child_until_kill(dir, crash_after, crash_before_index,
@@ -162,6 +163,7 @@ class StoreResume : public ::testing::Test {
     EXPECT_EQ(ref_stats.warm.misses, stats.warm.misses);
     EXPECT_EQ(ref_stats.warm.cleared, stats.warm.cleared);
     EXPECT_EQ(ref_stats.warm.uncertified, stats.warm.uncertified);
+    EXPECT_EQ(ref_stats.warm.predicted, stats.warm.predicted);
     EXPECT_EQ(render_csv(reference), render_csv(resumed));
 
     // And the published CSV artifacts are byte-identical files.
