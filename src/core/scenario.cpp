@@ -357,12 +357,9 @@ ScenarioOutcome ScenarioSlot::evaluate(const ScenarioRequest& req,
     }
   }
 
-  // Overlay the slot's warm-start guess — and its NCD partition cache,
-  // which is slot state exactly like the guess — on the caller's solver
-  // options. A caller-supplied cache wins (they own the sharing policy).
+  // Overlay the slot's warm-start guess on the caller's solver options.
   ctmc::SteadyStateOptions next = opts;
   next.initial_guess = std::move(s.warm.opts.initial_guess);
-  if (!next.ncd_cache) next.ncd_cache = std::move(s.warm.opts.ncd_cache);
   s.warm.opts = std::move(next);
   if (req.policy == PolicyKind::kTags || req.policy == PolicyKind::kTagsH2) {
     ScenarioRequest off_t = req;

@@ -1,6 +1,9 @@
 #include "ctmc/builder.hpp"
 
 #include <cassert>
+#include <utility>
+
+#include "linalg/csr_assembly.hpp"
 
 namespace tags::ctmc {
 
@@ -34,7 +37,7 @@ void CtmcBuilder::ensure_states(index_t n) {
   if (n > n_states_) n_states_ = n;
 }
 
-Ctmc CtmcBuilder::build() const {
+Ctmc CtmcBuilder::build(std::vector<index_t> partition) const {
   linalg::CooMatrix coo(n_states_, n_states_);
   coo.reserve(transitions_.size() * 2);
   for (const Transition& t : transitions_) {
@@ -42,7 +45,9 @@ Ctmc CtmcBuilder::build() const {
     coo.add(t.from, t.to, t.rate);
     coo.add(t.from, t.from, -t.rate);
   }
-  return Ctmc(n_states_, linalg::CsrMatrix::from_coo(coo), transitions_, label_names_);
+  linalg::CsrMatrix q = linalg::CsrMatrix::from_coo(coo);
+  if (!partition.empty()) linalg::CsrBuilderAccess::set_partition(q, std::move(partition));
+  return Ctmc(n_states_, std::move(q), transitions_, label_names_);
 }
 
 }  // namespace tags::ctmc

@@ -32,8 +32,10 @@ class CtmcBuilder {
   [[nodiscard]] std::size_t n_transitions() const noexcept { return transitions_.size(); }
 
   /// Assemble the CTMC. The builder can be reused afterwards (it is left
-  /// unchanged).
-  [[nodiscard]] Ctmc build() const;
+  /// unchanged). `partition`, one block id per state or empty, is attached
+  /// to the generator for the two-level Gauss-Seidel solve (see
+  /// GeneratorModel::partition).
+  [[nodiscard]] Ctmc build(std::vector<index_t> partition = {}) const;
 
  private:
   index_t n_states_ = 0;

@@ -106,6 +106,9 @@ void GeneratorCtmc::assemble(const GeneratorModel& model) {
   max_exit_rate_ = max_exit;
   q_ = linalg::CsrBuilderAccess::adopt(n, n, std::move(row_ptr), std::move(col),
                                        std::move(val));
+  if (std::vector<index_t> blocks = model.partition(); !blocks.empty()) {
+    linalg::CsrBuilderAccess::set_partition(q_, std::move(blocks));
+  }
   obs::count("ctmc.generator.assembles");
 }
 

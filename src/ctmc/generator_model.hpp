@@ -64,6 +64,12 @@ class GeneratorModel {
 
   /// Emit every outgoing transition of `state`, in a deterministic order.
   virtual void for_each_transition(index_t state, const TransitionSink& emit) const = 0;
+
+  /// A block id per state for the two-level Gauss-Seidel solve (see
+  /// linalg/inflow_rows.hpp), ids 0..B-1 all used, or empty for none: the
+  /// blocks a slow mode runs between. Structural, like the emission
+  /// pattern, so assemble() attaches it once and rebind() keeps it.
+  [[nodiscard]] virtual std::vector<index_t> partition() const { return {}; }
 };
 
 }  // namespace tags::ctmc

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,7 +21,6 @@ std::string_view to_string(SteadyStateMethod m) noexcept {
     case SteadyStateMethod::kDenseLu: return "dense-lu";
     case SteadyStateMethod::kGaussSeidel: return "gauss-seidel";
     case SteadyStateMethod::kPower: return "power";
-    case SteadyStateMethod::kNcdAd: return "ncd-ad";
   }
   return "unknown";
 }
@@ -38,27 +37,12 @@ void note_attempt(SteadyStateResult& res) {
   res.attempts.push_back(std::move(a));
 }
 
-/// A fast path the profitability gate declined without running: zero
-/// iterations, never converged, but present in the attempt list with the
-/// detector's verdict so "why didn't it fire?" is answerable downstream.
-[[nodiscard]] SteadyStateAttempt gated_attempt(SteadyStateMethod m, const char* reason) {
-  SteadyStateAttempt a;
-  a.method = m;
-  a.gate_reason = reason;
-  return a;
-}
-
 /// The SolveRecord rendering of an attempt list: method names joined by
-/// commas, gate-declined entries suffixed "[gate:<reason>]".
+/// commas.
 void append_attempts(obs::SolveRecord& rec, const std::vector<SteadyStateAttempt>& attempts) {
   for (const SteadyStateAttempt& a : attempts) {
     if (!rec.attempts.empty()) rec.attempts += ',';
     rec.attempts += to_string(a.method);
-    if (!a.gate_reason.empty()) {
-      rec.attempts += "[gate:";
-      rec.attempts += a.gate_reason;
-      rec.attempts += ']';
-    }
   }
 }
 
@@ -213,6 +197,18 @@ bool downward_flow_dominates(const CsrMatrix& q) {
   return down > up;
 }
 
+/// When the two-level steps stop (see solve_gauss_seidel): a step that
+/// would move no block's mass by more than kMinBlockMove relative is not
+/// taken, and one whose 16 sweeps do not cut the residual below
+/// kStepGain times its value at the step is the last. On the 12831-state
+/// H2 chain, stops at a move of 1e-5 and 1e-6 took 432 and 208 cold
+/// sweeps, 1e-8 and 0 took 112. On the deep chains (K2 <= 2) the slow mode
+/// is in node 1, each step moves the blocks by about 1% and the residual
+/// falls by 2% per 16 sweeps with or without it; the gain test ends the
+/// steps there after one.
+constexpr double kMinBlockMove = 1e-8;
+constexpr double kStepGain = 0.5;
+
 SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions& opts) {
   obs::Span span("solve/gauss-seidel");
   span.attr("n", static_cast<double>(sys.n()));
@@ -226,9 +222,23 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
   const bool backward = downward_flow_dominates(sys.q);
   span.attr("direction", backward ? "backward" : "forward");
   const linalg::InflowRows& rows = sys.q.inflow_cache();
+  span.attr("blocks", static_cast<double>(rows.blocks()));
 
   Vec pi = initial_vector(sys, opts);
   Vec scratch(n);
+  // Two-level steps (linalg/inflow_rows.hpp): at each residual check that
+  // has not converged, the blocks are rescaled to the coarse chain's
+  // masses, unless the check is the last. The next check judges the step:
+  // a residual not below the one before it restores the pi from before the
+  // step, and the solve sweeps on without steps, as it does after a step
+  // that gained less than kStepGain or once a step would move no block's
+  // mass by more than kMinBlockMove.
+  bool stepping = rows.blocks() > 0;
+  bool stepped = false;
+  int steps = 0;
+  linalg::CoarseWork coarse;
+  Vec before;  // pi at the check that took the last step
+  double before_residual = 0.0;
   // A sweep is linear and homogeneous in pi, so pi's scale may drift
   // between residual checks: it is renormalised at each check, and every
   // way out of the loop passes through one, which leaves res.residual and
@@ -249,8 +259,32 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
         ++res.iterations;
         break;
       }
+      if (std::exchange(stepped, false)) {
+        if (!(res.residual < before_residual)) {
+          pi.swap(before);
+          res.residual = before_residual;
+          stepping = false;
+          obs::count("ctmc.gauss_seidel.coarse_rollbacks");
+        } else if (res.residual > kStepGain * before_residual) {
+          stepping = false;
+        }
+      }
+      if (stepping && res.iterations + 1 < opts.max_iter) {
+        const obs::Span step_span("solve/coarse-step");
+        if (rows.coarse_solve(pi, coarse) > kMinBlockMove) {
+          before = pi;
+          before_residual = res.residual;
+          rows.rescale(pi, coarse);
+          stepped = true;
+          ++steps;
+        } else {
+          stepping = false;
+        }
+      }
     }
   }
+  if (steps > 0) obs::count("ctmc.gauss_seidel.coarse_steps", static_cast<std::uint64_t>(steps));
+  span.attr("coarse_steps", static_cast<double>(steps));
   res.pi = std::move(pi);
   certify_result(res, qt, sys, opts);
   note_attempt(res);
@@ -310,124 +344,48 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
   return res;
 }
 
-/// NCD aggregation-disaggregation on a precomputed partition: the
-/// solver's own convergence claim is re-checked against an independently
-/// recomputed balance residual, and the certificate still decides
-/// acceptance in kAuto.
-SteadyStateResult solve_ncd_ad(const System& sys, const SteadyStateOptions& opts,
-                               const linalg::NcdPartition& part) {
-  obs::Span span("solve/ncd-ad");
-  span.attr("n", static_cast<double>(sys.n()));
-  span.attr("blocks", static_cast<double>(part.n_blocks()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kNcdAd;
-  res.residual = std::numeric_limits<double>::infinity();
-  linalg::NcdSolveOptions so;
-  so.tol = opts.tol * std::max(1.0, sys.max_exit);  // relative, like the sweeps
-  so.initial_guess = opts.initial_guess;
-  linalg::NcdSolveResult r = linalg::ncd_steady_state(sys.q, part, so);
-  if (!r.pi.empty()) {
-    res.pi = std::move(r.pi);
-    res.iterations = r.outer;
-    Vec scratch(res.pi.size());
-    const CsrMatrix& qt = sys.q.transpose_cache();
-    res.residual = balance_residual(qt, res.pi, scratch);
-    res.converged = std::isfinite(res.residual) && res.residual <= so.tol;
-    certify_result(res, qt, sys, opts);
-  }
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
-}
-
 /// Largest chain kAuto hands to dense LU: O(n^3) flops and n^2 doubles.
 constexpr index_t kDenseLuMaxStates = 1200;
 
-/// What the gate detected, kept for the stage it lets run.
-struct Detected {
-  linalg::NcdPartition ncd_local;             // detected afresh: no shared cache
-  const linalg::NcdPartition* ncd = nullptr;  // the partition the NCD stage solves on
-};
-
-/// The NCD gate: declines strongly-coupled chains. A sweep's rebind-aware
-/// cache re-evaluates only the coupling against the current rates.
-const char* ncd_declines(const CsrMatrix& q, const SteadyStateOptions& opts, Detected& det) {
-  if (opts.ncd_cache) {
-    det.ncd = &opts.ncd_cache->partition(q, opts.ncd_opts);
-  } else {
-    det.ncd_local = linalg::detect_ncd(q, opts.ncd_opts);
-    det.ncd = &det.ncd_local;
-  }
-  return det.ncd->profitable ? nullptr : det.ncd->gate_reason;
-}
-
-/// One row of the kAuto chain. A stage is skipped silently when it is not
-/// enabled, recorded as a gated attempt when its gate declines, and run
-/// otherwise; the first accepted result ends the chain.
+/// One row of the kAuto chain. A stage is skipped when it is not enabled
+/// and run otherwise; the first accepted result ends the chain.
 struct Stage {
   SteadyStateMethod method;
-  /// False skips the stage without a trace: switched off, or the chain is
-  /// outside its size range.
-  bool (*enabled)(index_t n, const SteadyStateOptions& opts);
-  /// The profitability gate: the detector's reason for declining, nullptr
-  /// to run. Stages without one always run once enabled.
-  const char* (*declines)(const CsrMatrix& q, const SteadyStateOptions& opts,
-                          Detected& det) = nullptr;
-  SteadyStateResult (*run)(const System& sys, const SteadyStateOptions& opts,
-                           const Detected& det);
+  /// False skips the stage: the chain is outside its size range.
+  bool (*enabled)(index_t n);
+  SteadyStateResult (*run)(const System& sys, const SteadyStateOptions& opts);
   /// A last-resort stage starts from the best earlier last-resort π, and
   /// the best of them is returned, flagged, when no stage is accepted.
   bool last_resort = false;
-  /// Counters (nullptr: none): the gate let it run; its result was
-  /// accepted; it ran and fell through; the gate declined it.
-  const char* ran = nullptr;
-  const char* used = nullptr;
-  const char* fallthrough = nullptr;
-  const char* declined = nullptr;
 };
 
-bool always(index_t, const SteadyStateOptions&) { return true; }
+bool always(index_t) { return true; }
 
-// NCD-AD first, for weakly-coupled chains; chains below min_states skip
-// even its detection, so small chains carry no NCD entry in their attempt
-// lists. Then LU for small chains, Gauss-Seidel, and power iteration,
-// which converges on every irreducible chain given enough iterations.
-// Every result is certified, so a misjudged partition or a singular
-// factorisation costs a fallthrough, never a wrong answer.
+// LU for small chains, then Gauss-Seidel (two-level where the chain's
+// builder supplied a partition), then power iteration, which converges on
+// every irreducible chain given enough iterations. Every result is
+// certified, so a singular factorisation costs a fallthrough, never a
+// wrong answer.
 constexpr Stage kAutoChain[] = {
-    {.method = SteadyStateMethod::kNcdAd,
-     .enabled = [](index_t n, const SteadyStateOptions& o) {
-       return o.ncd && n >= o.ncd_opts.min_states;
-     },
-     .declines = ncd_declines,
-     .run = [](const System& sys, const SteadyStateOptions& o, const Detected& det) {
-       return solve_ncd_ad(sys, o, *det.ncd);
-     },
-     .ran = "ncd.gate.accepts",
-     .used = "ncd.solves",
-     .fallthrough = "ncd.fallthroughs",
-     .declined = "ncd.gate.rejects"},
     {.method = SteadyStateMethod::kDenseLu,
-     .enabled = [](index_t n, const SteadyStateOptions&) { return n <= kDenseLuMaxStates; },
-     .run = [](const System& sys, const SteadyStateOptions& o, const Detected&) {
-       return solve_dense_lu(sys, o);
-     }},
+     .enabled = [](index_t n) { return n <= kDenseLuMaxStates; },
+     .run = solve_dense_lu},
     {.method = SteadyStateMethod::kGaussSeidel,
      .enabled = always,
-     .run = [](const System& sys, const SteadyStateOptions& o, const Detected&) {
-       return solve_gauss_seidel(sys, o);
-     },
+     .run = solve_gauss_seidel,
      .last_resort = true},
     {.method = SteadyStateMethod::kPower,
      .enabled = always,
-     .run = [](const System& sys, const SteadyStateOptions& o, const Detected&) {
-       return solve_power(sys, o);
-     },
+     .run = solve_power,
      .last_resort = true},
 };
 
-void maybe_count(const char* counter) {
-  if (counter) obs::count(counter);
+/// Whether the solve `opts` asks for on an n-state chain starts with
+/// Gauss-Seidel, which reads the initial guess. Dense LU never reads it,
+/// and kAuto runs dense LU first on chains of at most kDenseLuMaxStates.
+bool starts_with_gauss_seidel(const SteadyStateOptions& opts, index_t n) {
+  return opts.method == SteadyStateMethod::kGaussSeidel ||
+         (opts.method == SteadyStateMethod::kAuto && n > kDenseLuMaxStates);
 }
 
 /// The kAuto chain. It escalates on the *certificate*, not on the raw
@@ -435,7 +393,6 @@ void maybe_count(const char* counter) {
 /// failed the independent check (non-finite entries, mass drift, hopeless
 /// condition estimate) falls through to the next stage like a divergence.
 SteadyStateResult solve_auto(const System& sys, const SteadyStateOptions& opts) {
-  Detected det;
   std::vector<SteadyStateAttempt> attempts;
   std::optional<SteadyStateResult> best;  // lowest-residual last-resort result
   struct Failure {
@@ -445,29 +402,21 @@ SteadyStateResult solve_auto(const System& sys, const SteadyStateOptions& opts) 
   };
   std::optional<Failure> failed;  // traced once the next stage actually runs
   for (const Stage& stage : kAutoChain) {
-    if (!stage.enabled(sys.n(), opts)) continue;
-    if (const char* reason = stage.declines ? stage.declines(sys.q, opts, det) : nullptr) {
-      maybe_count(stage.declined);
-      attempts.push_back(gated_attempt(stage.method, reason));
-      continue;
-    }
+    if (!stage.enabled(sys.n())) continue;
     if (failed) trace_fallback(failed->method, stage.method, failed->residual, failed->reason);
-    maybe_count(stage.ran);
     SteadyStateResult res;
     if (stage.last_resort && best) {
       SteadyStateOptions warm = opts;
       warm.initial_guess = best->pi;  // reuse partial progress
-      res = stage.run(sys, warm, det);
+      res = stage.run(sys, warm);
     } else {
-      res = stage.run(sys, opts, det);
+      res = stage.run(sys, opts);
     }
     attempts.insert(attempts.end(), res.attempts.begin(), res.attempts.end());
     if (accepted(res, opts)) {
-      maybe_count(stage.used);
       res.attempts = std::move(attempts);
       return res;
     }
-    maybe_count(stage.fallthrough);
     failed = Failure{stage.method, res.residual, fallback_reason(res)};
     if (stage.last_resort && !(best && best->residual <= res.residual)) best = std::move(res);
   }
@@ -484,16 +433,6 @@ SteadyStateResult steady_state_impl(const System& sys, const SteadyStateOptions&
     case SteadyStateMethod::kDenseLu: return solve_dense_lu(sys, opts);
     case SteadyStateMethod::kGaussSeidel: return solve_gauss_seidel(sys, opts);
     case SteadyStateMethod::kPower: return solve_power(sys, opts);
-    case SteadyStateMethod::kNcdAd: {
-      // Explicit request: skip the profitability gate; the structural
-      // requirement (>= 2 blocks) is enforced by ncd_steady_state itself,
-      // which bails unconverged on a trivial partition.
-      if (opts.ncd_cache) {
-        return solve_ncd_ad(sys, opts, opts.ncd_cache->partition(sys.q, opts.ncd_opts));
-      }
-      const linalg::NcdPartition part = linalg::detect_ncd(sys.q, opts.ncd_opts);
-      return solve_ncd_ad(sys, opts, part);
-    }
     case SteadyStateMethod::kAuto: break;
   }
   return solve_auto(sys, opts);
@@ -549,11 +488,6 @@ void reconcile_warm_start(SteadyStateOptions& opts, index_t n_states) {
 }
 
 void WarmStartState::reconcile(index_t n_states) {
-  // Each shard's solves share one rebind-aware NCD partition cache: a sweep
-  // rebinds values on a frozen pattern, so detection runs once per shard
-  // and later points only re-evaluate the profitability gate. Created here
-  // lazily so plain one-shot solves never pay for it.
-  if (!opts.ncd_cache) opts.ncd_cache = std::make_shared<linalg::NcdPartitionCache>();
   const bool had_guess = opts.initial_guess.has_value();
   reconcile_warm_start(opts, n_states);
   if (had_guess && !opts.initial_guess) ++cleared;
@@ -594,7 +528,7 @@ Vec WarmStartState::extrapolate(double t) const {
 void WarmStartState::reconcile(const linalg::CsrMatrix& q, double coordinate) {
   reconcile(q.rows());
   coordinate_ = coordinate;
-  if (line_.size() < 2) return;
+  if (line_.size() < 2 || !starts_with_gauss_seidel(opts, q.rows())) return;
   Vec guess = extrapolate(coordinate);
   if (guess.empty()) return;
   // The balance residuals come off the Gauss-Seidel copy of Q^T (the same

@@ -13,44 +13,40 @@
 //                   multiplies by 1/exit_j; pi is renormalised only where
 //                   the residual is checked, every 16 sweeps, and the
 //                   check reads the same copy (same bits as over Q^T).
+//                   On a chain whose builder supplied a partition of its
+//                   states (CsrMatrix::partition), the solve is two-level:
+//                   each check that has not converged also rescales the
+//                   blocks to the stationary masses of the small chain the
+//                   generator induces on them, while that pays.
 //  * kPower       — power iteration on the uniformized DTMC
 //                   P = I + Q/Lambda; slowest but unconditionally stable.
-//  * kNcdAd       — iterative aggregation-disaggregation on a nearly-
-//                   completely-decomposable block partition (see
-//                   linalg/ncd.hpp); a handful of censored block sweeps plus
-//                   a coarse dense solve per pass when inter-block coupling
-//                   is weak, declined on strongly-coupled chains.
-//  * kAuto        — one fixed stage table: NCD aggregation-disaggregation
-//                   when its coupling gate accepts, then LU for small chains,
-//                   then Gauss-Seidel, then power iteration from
-//                   Gauss-Seidel's pi as the last resort. Escalation is
+//  * kAuto        — one fixed stage table: LU for small chains, then
+//                   Gauss-Seidel, then power iteration from Gauss-Seidel's
+//                   pi as the last resort. Escalation is
 //                   certificate-driven: a result that fails the independent
 //                   check falls through to the next stage.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
 #include "linalg/certify.hpp"
-#include "linalg/ncd.hpp"
 #include "linalg/solver.hpp"
 
 namespace tags::ctmc {
 
-/// The numeric values are stable: 4 and 5 belonged to the removed GMRES
-/// and level-QBD methods and stay unused, so printed values and test-case
-/// names keep meaning the same method.
+/// The numeric values are stable: 4, 5 and 6 belonged to the removed
+/// GMRES, level-QBD and NCD aggregation-disaggregation methods and stay
+/// unused, so printed values and test-case names keep meaning the same
+/// method.
 enum class SteadyStateMethod {
   kAuto = 0,
   kDenseLu = 1,
   kGaussSeidel = 2,
   kPower = 3,
-  kNcdAd = 6,
 };
 
 [[nodiscard]] std::string_view to_string(SteadyStateMethod m) noexcept;
@@ -70,18 +66,6 @@ struct SteadyStateOptions {
   /// Certification bounds. residual_bound is *relative*: it is multiplied
   /// by max(1, max exit rate), matching how solver tolerances scale.
   linalg::CertifyOptions certify_opts{.residual_bound = 1e-6};
-  /// Let kAuto try NCD aggregation-disaggregation first when its coupling
-  /// gate accepts. Every result must pass certification, so a stale or
-  /// misjudged partition costs a fallthrough, never a wrong answer.
-  bool ncd = true;
-  /// Detection thresholds and the coupling/profitability gate for the NCD
-  /// partition (see linalg/ncd.hpp). Chains below ncd_opts.min_states skip
-  /// detection entirely — zero overhead on small systems.
-  linalg::NcdOptions ncd_opts;
-  /// Optional rebind-aware partition cache shared across a sweep's solves
-  /// (WarmStartState::reconcile installs one). Solves without a cache
-  /// detect afresh. Not thread-safe — one per shard, like the warm state.
-  std::shared_ptr<linalg::NcdPartitionCache> ncd_cache;
 };
 
 /// One method tried by steady_state (kAuto runs several in sequence).
@@ -90,11 +74,6 @@ struct SteadyStateAttempt {
   int iterations = 0;
   double residual = 0.0;
   bool converged = false;
-  /// Why a gated fast path (kNcdAd) was declined without running: the
-  /// detector's verdict, e.g. "one-block" or "strong-coupling". Empty for attempts that actually executed. Makes
-  /// "why didn't the fast path fire?" answerable from telemetry — gated
-  /// methods used to vanish from the attempt list entirely.
-  std::string gate_reason;
 };
 
 struct SteadyStateResult {
@@ -110,9 +89,7 @@ struct SteadyStateResult {
   linalg::Certificate certificate;
   /// Every method attempted, in order; the last entry is method_used.
   /// A single-method request yields one entry; kAuto records its whole
-  /// fallback chain (NCD-AD, LU, Gauss-Seidel, power iteration),
-  /// including a gate-declined fast path (an entry with a non-empty
-  /// gate_reason, which never counts as an executed method).
+  /// fallback chain (LU, Gauss-Seidel, power iteration).
   std::vector<SteadyStateAttempt> attempts;
 };
 
@@ -167,7 +144,9 @@ struct WarmStartState {
   /// Call before each solve at `coordinate` on the current parameter line,
   /// with `q` the generator about to be solved: as reconcile(q.rows()),
   /// then the guess becomes the line's extrapolation when it passes the
-  /// residual check above.
+  /// residual check above. A solve that does not start with Gauss-Seidel
+  /// (kAuto's dense LU on small chains) never reads the guess, so it gets
+  /// no extrapolation.
   void reconcile(const linalg::CsrMatrix& q, double coordinate);
 
   /// Call after each solve: keeps pi as the next point's initial guess (and

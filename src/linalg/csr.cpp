@@ -31,7 +31,8 @@ CsrMatrix::CsrMatrix(const CsrMatrix& other)
       cols_(other.cols_),
       row_ptr_(other.row_ptr_),
       col_(other.col_),
-      val_(other.val_) {}
+      val_(other.val_),
+      partition_(other.partition_) {}
 
 CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
   if (this == &other) return *this;
@@ -40,6 +41,7 @@ CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
   row_ptr_ = other.row_ptr_;
   col_ = other.col_;
   val_ = other.val_;
+  partition_ = other.partition_;
   delete tcache_.exchange(nullptr, std::memory_order_acq_rel);
   return *this;
 }
@@ -50,6 +52,7 @@ CsrMatrix::CsrMatrix(CsrMatrix&& other) noexcept
       row_ptr_(std::move(other.row_ptr_)),
       col_(std::move(other.col_)),
       val_(std::move(other.val_)),
+      partition_(std::move(other.partition_)),
       tcache_(other.tcache_.exchange(nullptr, std::memory_order_acq_rel)) {
   other.rows_ = 0;
   other.cols_ = 0;
@@ -62,6 +65,7 @@ CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
   row_ptr_ = std::move(other.row_ptr_);
   col_ = std::move(other.col_);
   val_ = std::move(other.val_);
+  partition_ = std::move(other.partition_);
   other.rows_ = 0;
   other.cols_ = 0;
   delete tcache_.exchange(other.tcache_.exchange(nullptr, std::memory_order_acq_rel),
@@ -227,7 +231,7 @@ const InflowRows& CsrMatrix::inflow_cache() const {
         c->inflow->refresh(t);
       } else {
         const obs::Span span("linalg/inflow_fill");
-        c->inflow = std::make_unique<InflowRows>(t);
+        c->inflow = std::make_unique<InflowRows>(t, partition_);
       }
       c->inflow_fresh.store(true, std::memory_order_release);
     }

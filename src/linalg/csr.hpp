@@ -19,7 +19,8 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
   // The cached transpose (see transpose_cache below) is per-instance
-  // scratch, not value state: copies start cold, moves steal it.
+  // scratch, not value state: copies start cold, moves steal it. The
+  // partition is structure and travels with the pattern.
   CsrMatrix(const CsrMatrix& other);
   CsrMatrix& operator=(const CsrMatrix& other);
   CsrMatrix(CsrMatrix&& other) noexcept;
@@ -64,6 +65,11 @@ class CsrMatrix {
   /// same synchronisation rules as transpose_cache apply.
   [[nodiscard]] const InflowRows& inflow_cache() const;
 
+  /// The block id of every state, for the two-level Gauss-Seidel solve, or
+  /// empty when the chain's builder supplied none. Structural, like the
+  /// pattern: set through CsrBuilderAccess, kept by copies and rebinds.
+  [[nodiscard]] std::span<const index_t> partition() const noexcept { return partition_; }
+
   /// Vector of diagonal entries (zero where absent).
   [[nodiscard]] Vec diagonal() const;
 
@@ -102,6 +108,7 @@ class CsrMatrix {
   std::vector<index_t> row_ptr_;  // size rows_+1
   std::vector<index_t> col_;
   std::vector<double> val_;
+  std::vector<index_t> partition_;  // empty, or one block id per row
   mutable std::atomic<TransposeCache*> tcache_{nullptr};
 
   friend class CsrBuilderAccess;

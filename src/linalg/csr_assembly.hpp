@@ -3,11 +3,13 @@
 // CsrMatrix::from_coo materialises a COO buffer first; the generator-model
 // engine (ctmc/generator.cpp) builds rows in final order and does not want
 // the intermediate copy, and rate rebinding needs to overwrite values in
-// place on a frozen sparsity pattern. CsrBuilderAccess is the single,
-// narrow friend through which both happen; everything else keeps going
-// through the public CsrMatrix API.
+// place on a frozen sparsity pattern; a chain's builder attaches the
+// state partition the two-level Gauss-Seidel solve aggregates over.
+// CsrBuilderAccess is the single, narrow friend through which all three
+// happen; everything else keeps going through the public CsrMatrix API.
 #pragma once
 
+#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,15 @@ class CsrBuilderAccess {
   [[nodiscard]] static std::vector<double>& values(CsrMatrix& m) noexcept {
     m.invalidate_transpose_cache();
     return m.val_;
+  }
+
+  /// Attach the chain builder's partition: one block id in [0, blocks) per
+  /// row, every id used. Set once, before the first solve; the cached
+  /// Gauss-Seidel copy lists the inter-block entries when it is built.
+  static void set_partition(CsrMatrix& m, std::vector<index_t> block_of) {
+    assert(block_of.size() == static_cast<std::size_t>(m.rows_));
+    assert(m.tcache_.load() == nullptr);
+    m.partition_ = std::move(block_of);
   }
 };
 

@@ -1,15 +1,47 @@
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <string>
 
 #include "linalg/solver.hpp"
-#include "linalg/sweep_kernel.hpp"
 #include "obs/obs.hpp"
 
 namespace tags::linalg {
 
 namespace {
+
+/// First row whose diagonal entry is exactly zero, or -1 when none. A
+/// sweep through such a row divides by zero and the resulting inf/NaN
+/// poisons every later update, so the solver checks before the first sweep
+/// and fails explicitly.
+[[nodiscard]] index_t find_zero_diagonal(std::span<const double> diag) noexcept {
+  for (std::size_t i = 0; i < diag.size(); ++i) {
+    if (diag[i] == 0.0) return static_cast<index_t>(i);
+  }
+  return -1;
+}
+
+/// One Gauss-Seidel sweep of A x = b, updating x in place; updated rows see
+/// each other's new values. Returns the largest absolute update, the
+/// solver's cheap stagnation proxy.
+double gs_sweep(const CsrMatrix& a, std::span<const double> b, std::span<double> x,
+                std::span<const double> diag) noexcept {
+  double max_update = 0.0;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto cs = a.row_cols(i);
+    const auto vs = a.row_vals(i);
+    const std::size_t ii = static_cast<std::size_t>(i);
+    double off = 0.0;
+    for (std::size_t k = 0; k < cs.size(); ++k) {
+      if (cs[k] != i) off += vs[k] * x[static_cast<std::size_t>(cs[k])];
+    }
+    const double next = (b[ii] - off) / diag[ii];
+    max_update = std::max(max_update, std::abs(next - x[ii]));
+    x[ii] = next;
+  }
+  return max_update;
+}
 
 /// Classify the outcome (relative residual, divergence vs stagnation) and
 /// feed the observability layer. `initial_residual` is ||b - A x0||_inf for
@@ -63,7 +95,7 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
   // fill x with inf/NaN that then propagates through every later update.
   // Bail before touching x: the caller sees an explicit divergence instead
   // of a poisoned vector.
-  if (const index_t bad = detail::find_zero_diagonal(diag, 0, a.rows()); bad >= 0) {
+  if (const index_t bad = find_zero_diagonal(diag); bad >= 0) {
     obs::count("numerics.gauss_seidel.zero_diagonal");
     if (obs::tracing_on()) {
       obs::TraceEvent ev;
@@ -79,7 +111,7 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
   }
 
   for (res.iterations = 0; res.iterations < opts.max_iter; ++res.iterations) {
-    const double max_update = detail::gs_sweep_range(a, b, x, diag, 0, a.rows());
+    const double max_update = gs_sweep(a, b, x, diag);
     // The update norm is only a proxy; confirm with the true residual, but
     // not every sweep (it costs one SpMV).
     const bool check_now = max_update <= opts.tol || (res.iterations & 31) == 31;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 
 namespace tags::linalg {
@@ -28,7 +29,7 @@ struct SweepView {
 
 }  // namespace
 
-InflowRows::InflowRows(const CsrMatrix& qt)
+InflowRows::InflowRows(const CsrMatrix& qt, std::span<const index_t> block_of)
     : start_(static_cast<std::size_t>(qt.rows()) + 1),
       diag_(static_cast<std::size_t>(qt.rows())),
       q_diag_(static_cast<std::size_t>(qt.rows())),
@@ -49,6 +50,32 @@ InflowRows::InflowRows(const CsrMatrix& qt)
   }
   val_.resize(col_.size());
   refresh(qt);
+  list_cross_entries(block_of);
+}
+
+void InflowRows::list_cross_entries(std::span<const index_t> block_of) {
+  if (block_of.empty()) return;
+  assert(block_of.size() == inv_exit_.size());
+  const auto blocks =
+      static_cast<std::size_t>(*std::max_element(block_of.begin(), block_of.end())) + 1;
+  // The coarse solve costs about blocks^3 / 3 multiply-adds, which run
+  // several times faster than a sweep's dependent chain of one per stored
+  // entry; past this bound a step would cost more than a few sweeps.
+  constexpr std::size_t kCoarseFlopsPerEntry = 64;
+  if (blocks < 2 || blocks * blocks * blocks > kCoarseFlopsPerEntry * col_.size()) return;
+  assert(col_.size() <= std::numeric_limits<std::uint32_t>::max() &&
+         blocks * blocks <= std::numeric_limits<std::uint32_t>::max());
+  blocks_ = blocks;
+  block_of_.assign(block_of.begin(), block_of.end());
+  for (std::size_t j = 0; j < block_of_.size(); ++j) {
+    const std::uint32_t to = block_of_[j];
+    for (std::size_t k = start_[j]; k < start_[j + 1]; ++k) {
+      const std::uint32_t from = block_of_[col_[k]];
+      if (from == to) continue;
+      cross_pos_.push_back(static_cast<std::uint32_t>(k));
+      cross_cell_.push_back(static_cast<std::uint32_t>(from * blocks_ + to));
+    }
+  }
 }
 
 void InflowRows::refresh(const CsrMatrix& qt) noexcept {
@@ -102,6 +129,66 @@ double InflowRows::residual(const Vec& pi, Vec& y) const noexcept {
     out[j] = acc;
   }
   return nrm_inf(y);
+}
+
+double InflowRows::coarse_solve(const Vec& pi, CoarseWork& work) const {
+  assert(blocks_ > 0);
+  const std::size_t nb = blocks_;
+  work.mass.assign(nb, 0.0);
+  for (std::size_t i = 0; i < block_of_.size(); ++i) work.mass[block_of_[i]] += pi[i];
+  for (const double m : work.mass) {
+    if (!(m > 0.0)) return -1.0;
+  }
+  // A, row-major: the flows pi_i q_ij summed into cell (I, J), then row I
+  // divided by m_I. The diagonal cells hold no flow and are never read.
+  work.a.assign(nb * nb, 0.0);
+  double* a = work.a.data();
+  for (std::size_t e = 0; e < cross_pos_.size(); ++e) {
+    const std::uint32_t k = cross_pos_[e];
+    a[cross_cell_[e]] += val_[k] * pi[col_[k]];
+  }
+  for (std::size_t from = 0; from < nb; ++from) {
+    for (std::size_t to = 0; to < nb; ++to) a[from * nb + to] /= work.mass[from];
+  }
+  // xi A = 0 by the GTH form of Gaussian elimination: blocks nb-1 .. 1 are
+  // censored out in turn, each folding its outflow into the blocks below
+  // it. There are no subtractions, so every xi_I keeps its relative
+  // accuracy, down to the blocks of mass 1e-9 and less that rare timeouts
+  // leave at node 2.
+  for (std::size_t k = nb; k-- > 1;) {
+    const double* row_k = a + k * nb;
+    double out = 0.0;
+    for (std::size_t j = 0; j < k; ++j) out += row_k[j];
+    if (!(out > 0.0)) return -1.0;  // block k cannot reach the blocks below it
+    for (std::size_t i = 0; i < k; ++i) {
+      double* row_i = a + i * nb;
+      const double f = row_i[k] / out;
+      row_i[k] = f;
+      if (f == 0.0) continue;
+      for (std::size_t j = 0; j < k; ++j) row_i[j] += f * row_k[j];
+    }
+  }
+  work.scale.assign(nb, 0.0);
+  double* xi = work.scale.data();
+  xi[0] = 1.0;
+  double total = 1.0;
+  for (std::size_t j = 1; j < nb; ++j) {
+    double v = 0.0;
+    for (std::size_t i = 0; i < j; ++i) v += xi[i] * a[i * nb + j];
+    xi[j] = v;
+    total += v;
+  }
+  double move = 0.0;
+  for (std::size_t b = 0; b < nb; ++b) {
+    xi[b] = xi[b] / total / work.mass[b];
+    if (!(xi[b] > 0.0) || !std::isfinite(xi[b])) return -1.0;
+    move = std::max(move, std::abs(xi[b] - 1.0));
+  }
+  return move;
+}
+
+void InflowRows::rescale(Vec& pi, const CoarseWork& work) const noexcept {
+  for (std::size_t i = 0; i < block_of_.size(); ++i) pi[i] *= work.scale[block_of_[i]];
 }
 
 }  // namespace tags::linalg

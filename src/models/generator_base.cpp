@@ -30,4 +30,12 @@ Metrics SolvableModel::metrics_from(const linalg::Vec& pi) const {
 
 ctmc::Ctmc SolvableModel::to_ctmc() const { return ctmc::materialize(*this); }
 
+std::vector<ctmc::index_t> node2_partition(ctmc::index_t states, ctmc::index_t node2_states) {
+  std::vector<ctmc::index_t> blocks(static_cast<std::size_t>(states));
+  for (ctmc::index_t idx = 0; idx < states; ++idx) {
+    blocks[static_cast<std::size_t>(idx)] = idx % node2_states;
+  }
+  return blocks;
+}
+
 }  // namespace tags::models

@@ -30,6 +30,12 @@ namespace tags::models {
 using GeneratorModel = ctmc::GeneratorModel;
 using TransitionSink = ctmc::TransitionSink;
 
+/// The partition of a product state space idx = i1 * node2_states + i2 by
+/// its node-2 state i2: the blocks the TAGS chains' slow mode runs between,
+/// since jobs that are long for node 1 hold node 2 for a long time.
+[[nodiscard]] std::vector<ctmc::index_t> node2_partition(ctmc::index_t states,
+                                                         ctmc::index_t node2_states);
+
 class SolvableModel : public GeneratorModel {
  public:
   /// The assembled engine: CSR generator + per-label reward vectors.

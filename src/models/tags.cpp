@@ -89,6 +89,10 @@ ctmc::index_t TagsModel::state_space_size() const {
 
 const std::vector<std::string>& TagsModel::transition_labels() const { return kLabels; }
 
+std::vector<ctmc::index_t> TagsModel::partition() const {
+  return node2_partition(state_space_size(), node2_states_);
+}
+
 void TagsModel::for_each_transition(ctmc::index_t state,
                                     const TransitionSink& emit) const {
   const unsigned n = params_.n;

@@ -72,6 +72,8 @@ class TagsModel : public SolvableModel {
   [[nodiscard]] const std::vector<std::string>& transition_labels() const override;
   void for_each_transition(ctmc::index_t state,
                            const TransitionSink& emit) const override;
+  /// One block per node-2 state: idx % node2_states.
+  [[nodiscard]] std::vector<ctmc::index_t> partition() const override;
 
  protected:
   [[nodiscard]] ctmc::MeasureSpec measure_spec() const override;

@@ -124,6 +124,10 @@ const std::vector<std::string>& TagsH2Model::transition_labels() const {
   return kLabels;
 }
 
+std::vector<ctmc::index_t> TagsH2Model::partition() const {
+  return node2_partition(state_space_size(), node2_states_);
+}
+
 void TagsH2Model::for_each_transition(ctmc::index_t state,
                                       const TransitionSink& emit) const {
   const unsigned n = params_.n;

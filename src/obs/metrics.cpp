@@ -387,10 +387,11 @@ namespace {
 enum class Kind { kCounter, kGauge };
 
 /// One field of the fixed telemetry sections (schema v3 "server", v4
-/// "store", v5 "ncd"): a registry metric under a stable field name, so the
-/// smoke harnesses and dashboards need not know the registry naming
-/// scheme. A metric nothing registered in this process reads as zero.
-/// Fields of one section are contiguous, in output order.
+/// "store"; v5's "ncd" was dropped in v6): a registry metric under a
+/// stable field name, so the smoke harnesses and dashboards need not know
+/// the registry naming scheme. A metric nothing registered in this
+/// process reads as zero. Fields of one section are contiguous, in output
+/// order.
 struct SectionField {
   const char* section;
   const char* field;
@@ -419,14 +420,6 @@ constexpr SectionField kSectionFields[] = {
     {"store", "cache_loaded", "store.cache_loaded", Kind::kCounter},
     {"store", "records", "store.records", Kind::kGauge},
     {"store", "bytes", "store.bytes", Kind::kGauge},
-    {"ncd", "partitions_built", "ncd.partitions_built", Kind::kCounter},
-    {"ncd", "cache_hits", "ncd.cache.hits", Kind::kCounter},
-    {"ncd", "cache_invalidated", "ncd.cache.invalidated", Kind::kCounter},
-    {"ncd", "gate_accepts", "ncd.gate.accepts", Kind::kCounter},
-    {"ncd", "gate_rejects", "ncd.gate.rejects", Kind::kCounter},
-    {"ncd", "solves", "ncd.solves", Kind::kCounter},
-    {"ncd", "fallthroughs", "ncd.fallthroughs", Kind::kCounter},
-    {"ncd", "sweeps", "ncd.sweeps", Kind::kCounter},
 };
 
 template <class Snapshot>
@@ -443,7 +436,7 @@ std::string metrics_json(const std::string& id) {
   JsonWriter w;
   w.begin_object();
   w.field("id", id);
-  w.field("schema_version", static_cast<std::int64_t>(5));
+  w.field("schema_version", static_cast<std::int64_t>(6));
   // -1 marks a build with the layer compiled out.
   w.field("obs_level",
           TAGS_OBS_ENABLED ? static_cast<std::int64_t>(level()) : std::int64_t{-1});

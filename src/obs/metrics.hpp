@@ -22,7 +22,7 @@ namespace tags::obs {
 /// One solver invocation, as recorded by the linalg and CTMC layers.
 struct SolveRecord {
   std::string context;  ///< "linear" or "steady_state"
-  std::string method;   ///< "gauss-seidel", "dense-lu", "ncd-ad", ...
+  std::string method;   ///< "gauss-seidel", "dense-lu", "power", ...
   std::int64_t n = 0;   ///< system size (CTMC states / matrix rows)
   int iterations = 0;
   double residual = 0.0;
@@ -35,7 +35,7 @@ struct SolveRecord {
   /// Hager 1-norm condition estimate; 0 when the path did not compute one.
   double condition = 0.0;
   double wall_ms = 0.0;
-  /// kAuto fallback chain, e.g. "ncd-ad[gate:one-block],gauss-seidel"
+  /// kAuto fallback chain, e.g. "dense-lu,gauss-seidel"
   std::string attempts;
   std::string note;      ///< free-form, e.g. "zero-diagonal" on a bailout
 };
@@ -180,8 +180,8 @@ inline void reset_metrics() {}
 #endif  // TAGS_OBS_ENABLED
 
 /// Whole-registry JSON snapshot (per-span-name timers, spans, counters,
-/// gauges, histograms, solve log, and the server/store/ncd sections) — the
-/// object written by write_telemetry_json. Schema v5:
+/// gauges, histograms, solve log, and the server/store sections) — the
+/// object written by write_telemetry_json. Schema v6:
 /// tools/check_bench_json.py. Written from the snapshot API above, so an
 /// obs-off build emits the same document with every collection empty and
 /// every section field zero.

@@ -406,6 +406,47 @@ void collect_initial(const CompNode& node, std::vector<seq_id>& leaves) {
   }
 }
 
+void collect_leaves(const CompNode& node, std::vector<std::size_t>& leaves) {
+  switch (node.kind) {
+    case CompNode::Kind::kLeaf:
+      leaves.push_back(node.leaf_index);
+      break;
+    case CompNode::Kind::kHide:
+      collect_leaves(*node.left, leaves);
+      break;
+    case CompNode::Kind::kCoop:
+      collect_leaves(*node.left, leaves);
+      collect_leaves(*node.right, leaves);
+      break;
+  }
+}
+
+/// The partition the two-level Gauss-Seidel solve aggregates over: a
+/// state's block is the tuple of local states of the leaves in the right
+/// operand of the outermost cooperation (below any hiding), numbered in
+/// order of first appearance. In the paper's Fig 3 and Fig 5 models that
+/// operand is Node2 = Q2 <...> T2. Empty when the system is not a
+/// cooperation.
+std::vector<ctmc::index_t> right_operand_partition(
+    const CompNode& root, const std::vector<std::vector<seq_id>>& states) {
+  const CompNode* node = &root;
+  while (node->kind == CompNode::Kind::kHide) node = node->left.get();
+  if (node->kind != CompNode::Kind::kCoop) return {};
+  std::vector<std::size_t> leaves;
+  collect_leaves(*node->right, leaves);
+  std::unordered_map<LeafVec, ctmc::index_t, LeafVecHash> block_of;
+  std::vector<ctmc::index_t> blocks;
+  blocks.reserve(states.size());
+  LeafVec local;
+  for (const std::vector<seq_id>& state : states) {
+    local.v.clear();
+    for (const std::size_t leaf : leaves) local.v.push_back(state[leaf]);
+    const auto next = static_cast<ctmc::index_t>(block_of.size());
+    blocks.push_back(block_of.emplace(local, next).first->second);
+  }
+  return blocks;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -570,7 +611,7 @@ DerivedModel derive(const Model& model, std::string_view system_name,
   }
 
   DerivedModel out;
-  out.chain = builder.build();
+  out.chain = builder.build(right_operand_partition(*root, states));
   out.states = std::move(states);
   out.seq = std::move(seq);
   out.actions = std::move(actions);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -77,13 +78,18 @@ struct Engine::State {
   /// One warm-start slot per model structure, each behind its own mutex so
   /// concurrent requests for different structures solve in parallel while
   /// requests sharing a structure serialise (and dedupe via the cache
-  /// re-check below).
+  /// re-check below). A slot's holders and last use are guarded by
+  /// slots_m, which evicts the least recently used idle slots beyond
+  /// kMaxSlots.
   struct Slot {
     std::mutex m;
     core::ScenarioSlot slot;
+    std::size_t holders = 0;
+    std::uint64_t last_used = 0;
   };
   std::mutex slots_m;
   std::unordered_map<std::string, std::unique_ptr<Slot>> slots;
+  std::uint64_t slot_uses = 0;
   /// structure_key -> frozen-sparsity digest, learned at first assembly.
   /// Lets submit() form the full cache key without touching a model.
   std::unordered_map<std::string, std::uint64_t> structures;
@@ -124,11 +130,50 @@ struct Engine::State {
     store->append_commit(answer_record(answer, cert, solve_ms));
   }
 
-  Slot& slot_for(const std::string& key) {
+  /// The slot for `key`, held (never evicted) until release_slot.
+  Slot& acquire_slot(const std::string& key) {
     std::lock_guard<std::mutex> lock(slots_m);
     auto& entry = slots[key];
     if (!entry) entry = std::make_unique<Slot>();
-    return *entry;
+    Slot& slot = *entry;
+    ++slot.holders;
+    slot.last_used = ++slot_uses;
+    evict_idle_slots();
+    return slot;
+  }
+
+  void release_slot(Slot& slot) {
+    std::lock_guard<std::mutex> lock(slots_m);
+    --slot.holders;
+    evict_idle_slots();
+  }
+
+  /// A request's hold on its slot, for the scope of its solve.
+  struct SlotHold {
+    SlotHold(State& owner, const std::string& key)
+        : state(owner), slot(owner.acquire_slot(key)) {}
+    ~SlotHold() { state.release_slot(slot); }
+    SlotHold(const SlotHold&) = delete;
+    SlotHold& operator=(const SlotHold&) = delete;
+    State& state;
+    Slot& slot;
+  };
+
+  /// Under slots_m: drop least recently used idle slots while more than
+  /// kMaxSlots are kept. Held slots stay, so the map may briefly exceed
+  /// the bound by the number of busy workers.
+  void evict_idle_slots() {
+    while (slots.size() > kMaxSlots) {
+      auto victim = slots.end();
+      for (auto it = slots.begin(); it != slots.end(); ++it) {
+        if (it->second->holders == 0 &&
+            (victim == slots.end() || it->second->last_used < victim->second->last_used)) {
+          victim = it;
+        }
+      }
+      if (victim == slots.end()) return;
+      slots.erase(victim);
+    }
   }
 
   std::optional<std::uint64_t> known_structure(const core::ScenarioRequest& scenario) {
@@ -196,7 +241,8 @@ void Engine::State::execute(const Request& req, const Responder& respond, bool c
   obs::Span span("serve/solve");
   try {
     const std::string skey = core::structure_key(req.scenario);
-    Slot& slot = slot_for(skey);
+    const SlotHold hold(*this, skey);
+    Slot& slot = hold.slot;
     std::lock_guard<std::mutex> slot_lock(slot.m);
 
     // Dedupe re-check: a concurrent identical request may have finished

@@ -3,7 +3,8 @@
 // with one warm-start ScenarioSlot per model structure. Transport-agnostic
 // — the socket server and any in-process test drive it identically through
 // submit(), and every response reaches the caller through the responder
-// callback exactly once (answer, shed, or error).
+// callback exactly once (answer, shed, or error). At most kMaxSlots idle
+// slots are kept.
 //
 // Caching contract: repeated identical requests are answered bit-for-bit
 // identically (the first computed stationary vector is the one every later
@@ -22,6 +23,13 @@
 #include "serve/request.hpp"
 
 namespace tags::serve {
+
+/// Warm-start slots the engine keeps. Each holds a model's generator, its
+/// cached transpose and Gauss-Seidel copy and the warm-start line: about
+/// 2 MB for a 5751-state chain. Past this many, the least recently used
+/// slot that no worker holds is evicted, and a later request for its
+/// structure starts a cold slot.
+inline constexpr std::size_t kMaxSlots = 8;
 
 struct EngineOptions {
   unsigned threads = 0;             ///< solver workers; 0: ThreadPool default

@@ -11,6 +11,7 @@
 #include "approx/roots.hpp"
 #include "models/tags.hpp"
 #include "models/tags_h2.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -149,6 +150,38 @@ TEST(Optimizer, ObjectivesDiffer) {
   const auto thr = optimise_tags_t_integer(p, Objective::kMaxThroughput, 5, 120);
   EXPECT_GE(thr.metrics.throughput, q.metrics.throughput - 1e-9);
   EXPECT_LE(q.metrics.mean_total, thr.metrics.mean_total + 1e-9);
+}
+
+TEST(Optimizer, DenseLuScanPredictsNothing) {
+  // 357 states: kAuto solves by dense LU, which never reads the warm-start
+  // guess, so the scan makes no prediction and lands on what cold solves
+  // at every t give, bit for bit.
+  models::TagsParams p;
+  p.lambda = 5.0;
+  p.mu = 10.0;
+  p.n = 3;
+  p.k1 = p.k2 = 4;
+#if TAGS_OBS_ENABLED
+  obs::Counter predicted("ctmc.steady_state.warm_start.predicted");
+  const std::uint64_t before = predicted.value();
+#endif
+  const auto best = optimise_tags_t_integer(p, Objective::kMinQueueLength, 10, 40);
+#if TAGS_OBS_ENABLED
+  EXPECT_EQ(predicted.value(), before);
+#endif
+  double best_t = 0.0;
+  models::Metrics cold_best;
+  for (unsigned t = 10; t <= 40; ++t) {
+    p.t = t;
+    const models::Metrics m = models::TagsModel(p).metrics();
+    if (best_t == 0.0 || m.mean_total < cold_best.mean_total) {
+      best_t = t;
+      cold_best = m;
+    }
+  }
+  EXPECT_EQ(best.t, best_t);
+  EXPECT_EQ(std::memcmp(&best.metrics, &cold_best, sizeof cold_best), 0);
+  EXPECT_EQ(best.solves, 31);
 }
 
 TEST(Optimizer, ContinuousRefinementConsistent) {

@@ -96,9 +96,10 @@ TEST(KernelDeterminism, ReductionsBitIdenticalAcrossThreadCounts) {
 
 TEST(KernelDeterminism, IterativeSolveBitIdenticalAcrossThreadCounts) {
   // Full kAuto solve on the default H2 chain (12831 states — above the
-  // kernel cutoff and declined by the NCD gate, so this exercises the
-  // parallel reductions and the cached-transpose SpMV inside
-  // Gauss-Seidel).
+  // kernel cutoff, so this exercises the parallel reductions and the
+  // cached-transpose SpMV inside Gauss-Seidel; the copy keeps the chain's
+  // node-2 partition, so the solve is two-level and its serial coarse
+  // steps are held to the same bytes).
   const models::TagsH2Model model({});
   const linalg::CsrMatrix chain = model.chain().generator();
   ctmc::SteadyStateResult serial;

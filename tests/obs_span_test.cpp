@@ -291,7 +291,7 @@ TEST_F(ObsSpanTest, TelemetryJsonV4CarriesTheSpanSection) {
   }
   const std::string json = obs::metrics_json("span_unit");
   // The writer emits compact JSON (no spaces), so exact substrings work.
-  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
   EXPECT_NE(json.find("\"spans\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"t/v2_span\""), std::string::npos);
   EXPECT_NE(json.find("\"spans_dropped\":0"), std::string::npos);

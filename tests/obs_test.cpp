@@ -215,9 +215,10 @@ TEST_F(ObsTest, MetricsJsonIsWellFormedEnough) {
   obs::gauge_set("test.json.gauge", 2.5);
   const std::string json = obs::metrics_json("obs_test");
   EXPECT_NE(json.find("\"id\":\"obs_test\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
   EXPECT_NE(json.find("test.json.counter"), std::string::npos);
   EXPECT_NE(json.find("\"store\":{"), std::string::npos);
+  EXPECT_EQ(json.find("\"ncd\":{"), std::string::npos);  // dropped in v6
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
 }

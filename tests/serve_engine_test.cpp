@@ -150,6 +150,38 @@ TEST(ServeEngine, CapacityOneCacheEvicts) {
   EXPECT_EQ(stats.cache_evicted, 2u);
 }
 
+TEST(ServeEngine, SlotMapStaysAtItsBound) {
+  // One structure key per k1: cycling through more keys than the bound
+  // evicts the least recently used idle slots, and a structure whose slot
+  // was evicted comes back as a cold slot, whose first answer is the
+  // one-shot path's, byte for byte.
+  Engine engine(EngineOptions{.threads = 2});
+  const auto scenario_for = [](unsigned k1, double t) {
+    auto s = small_scenario(t);
+    s.k1 = k1;
+    return s;
+  };
+  const auto slots_reported = [&engine] {
+    const auto doc = serve::parse_json(serve::serialize_stats("s", engine.stats()));
+    const serve::JsonValue* stats = doc.has_value() ? doc->find("stats") : nullptr;
+    return stats != nullptr ? stats->number_or("slots", -1.0) : -1.0;
+  };
+  const unsigned keys = static_cast<unsigned>(serve::kMaxSlots) + 3;
+  for (unsigned round = 0; round < 2; ++round) {
+    for (unsigned k = 1; k <= keys; ++k) {
+      const auto scenario = scenario_for(k, 40.0 + round);
+      const std::string served =
+          submit_and_wait(engine, solve_request(scenario, std::to_string(k), true));
+      const std::string oneshot = serve::serialize_answer(
+          "k", Engine::evaluate_now(scenario), serve::Served{}, true);
+      EXPECT_EQ(result_part(served), result_part(oneshot)) << "k1 " << k;
+      EXPECT_LE(engine.stats().slots, serve::kMaxSlots);
+    }
+  }
+  EXPECT_EQ(engine.stats().slots, serve::kMaxSlots);
+  EXPECT_EQ(slots_reported(), static_cast<double>(serve::kMaxSlots));
+}
+
 TEST(ServeEngine, ClosedFormPoliciesCacheToo) {
   Engine engine(EngineOptions{.threads = 1});
   auto scenario = small_scenario();

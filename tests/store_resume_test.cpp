@@ -37,12 +37,15 @@ std::string fresh_dir(const std::string& tag) {
   return dir.string();
 }
 
-/// The reduced model sweep_determinism_test.cpp uses: fast enough to solve
-/// the whole grid a few times per test, big enough for several shards.
+/// A reduced model: fast enough to solve the whole grid a few times per
+/// test, big enough for several shards, and at 1353 states just above
+/// kAuto's dense-LU cap, so the sweep runs Gauss-Seidel and each shard's
+/// third point starts from a prediction (dense LU never reads a guess, so
+/// a smaller chain predicts nothing).
 models::TagsParams reduced_model() {
   models::TagsParams base;
   base.n = 3;
-  base.k1 = base.k2 = 4;
+  base.k1 = base.k2 = 8;
   return base;
 }
 

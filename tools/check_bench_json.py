@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a bench telemetry JSON file against the v1..v5 schema.
+"""Validate a bench telemetry JSON file against the v1..v6 schema.
 
 Usage: check_bench_json.py [--require SECTION.FIELD[=VALUE|=+N]] ...
                            <telemetry.json> [...]
@@ -7,7 +7,7 @@ Usage: check_bench_json.py [--require SECTION.FIELD[=VALUE|=+N]] ...
 --require (repeatable) additionally asserts that every file carries
 SECTION.FIELD, split on the first dot: SECTION is "gauges" (FIELD is then
 a registry gauge name, which may itself contain dots) or one of the fixed
-sections "server" (v3+), "store" (v4+) or "ncd" (v5). With =VALUE the
+sections "server" (v3+) or "store" (v4+). With =VALUE the
 field must also equal VALUE (within 1e-9), and with =+N (e.g. =+1) it must
 be at least N. Used by the bench fixtures and smoke harnesses to pin down
 report invariants (e.g. that the parallel sweep produced bit-identical
@@ -26,7 +26,7 @@ The schema (see README "Observability"):
 
   {
     "id": str,
-    "schema_version": 5,         # 1/2/3/4 accepted for earlier files
+    "schema_version": 6,         # 1..5 accepted for earlier files
     "obs_level": int,            # -1 when compiled out, else 0..3
     "timers": {span_name: {"count": int, "total_ms": num, "self_ms": num}},
     "spans": [{"id": int, "parent": int, "thread": int, "name": str,
@@ -51,11 +51,10 @@ The schema (see README "Observability"):
               "decode_failures": int, "lookups": int, "lookup_hits": int,
               "shards_journaled": int, "shards_resumed": int,
               "cache_loaded": int, "records": num, "bytes": num},  # v4+
-    "ncd": {"partitions_built": int, "cache_hits": int,
-            "cache_invalidated": int, "gate_accepts": int,
-            "gate_rejects": int, "solves": int, "fallthroughs": int,
-            "sweeps": int},                                  # v5 only
   }
+
+Schema v5 documents also carry an "ncd" section, which v6 dropped with the
+solver it described; it is not checked.
 
 Span entries are additionally checked for causal consistency: ids unique
 and positive, timestamps monotonic (end >= start), parents listed before
@@ -99,16 +98,6 @@ SECTIONS = {
         ("records", NUMBER),
         ("bytes", NUMBER),
     )),
-    "ncd": (5, (
-        ("partitions_built", int),
-        ("cache_hits", int),
-        ("cache_invalidated", int),
-        ("gate_accepts", int),
-        ("gate_rejects", int),
-        ("solves", int),
-        ("fallthroughs", int),
-        ("sweeps", int),
-    )),
 }
 
 
@@ -144,7 +133,7 @@ def check(path, requirements=()):
 
     field("id", str)
     version = field("schema_version", int)
-    if version not in (None, 1, 2, 3, 4, 5):
+    if version not in (None, 1, 2, 3, 4, 5, 6):
         err(f"unsupported schema_version {doc['schema_version']}")
     field("obs_level", int)
     field("solves_dropped", int)
@@ -158,7 +147,7 @@ def check(path, requirements=()):
             if not isinstance(stat.get(key), types) or isinstance(stat.get(key), bool):
                 err(f"timer '{span_name}' field '{key}' missing or wrong type")
 
-    if version in (2, 3, 4, 5):
+    if version in (2, 3, 4, 5, 6):
         field("spans_dropped", int)
         spans = field("spans", list)
         seen = {}  # id -> record, in listed (parent-before-child) order

@@ -13,7 +13,7 @@ Coverage check (--coverage-root NAME): for every span named NAME —
 optionally only those with a descendant named --when-descendant — the
 fraction of its wall time attributed to child spans (1 - self/duration)
 must reach --min-coverage, and each --require-descendant name must appear
-somewhere below it. This pins the acceptance criterion that an NCD-AD
+somewhere below it. This pins the acceptance criterion that a two-level
 solve's time decomposes into named phases rather than untracked gaps.
 
 Exit status: 0 = valid, 1 = validation failure, 2 = bad input.
