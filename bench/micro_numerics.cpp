@@ -3,10 +3,10 @@
 //
 // Like micro_sweep this binary has its own main: before the
 // google-benchmark suite it (1) times steady-state solves with
-// certification on vs off, interleaved solve by solve on one OpenMP
-// thread, on both solver paths (dense-LU + condest, and Gauss-Seidel),
-// (2) runs a fig07-style t-sweep plus transient solves and checks every
-// solve record is certified-or-diverged, and (3) sweeps Fox-Glynn over q
+// certification on vs off, interleaved solve by solve, on both solver
+// paths (dense-LU + condest, and Gauss-Seidel), (2) runs a fig07-style
+// t-sweep plus transient solves and checks every solve record is
+// certified-or-diverged, and (3) sweeps Fox-Glynn over q
 // from 0.1 to 1e6 checking unit mass. Results land in
 // gauges and results/micro_numerics_telemetry.json; the ctest fixture pins
 // bench.micro_numerics.all_solves_certified and .fox_glynn_mass_ok via
@@ -20,10 +20,6 @@
 #include <cstdio>
 #include <cstring>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench_util.hpp"
 #include "core/experiment.hpp"
@@ -58,17 +54,9 @@ double median(std::vector<double> v) {
 /// kPairs pairs of each pair's relative difference between `reps`
 /// uncertified and `reps` certified solves. The two sides alternate solve
 /// by solve, each going first in turn, so both see the same host load,
-/// and the median drops the pairs a burst of load hit. The solves run on
-/// one OpenMP thread, as the benchmark harness runs them: with the default
-/// team the certified side's residual SpMV (n > 4096) forks a parallel
-/// region the uncertified Gauss-Seidel solve never enters, and on a shared
-/// host that fork costs whatever the other cores' load makes it.
+/// and the median drops the pairs a burst of load hit.
 double report_overhead(const char* label, const models::TagsParams& p, int reps) {
   constexpr int kPairs = 9;
-#ifdef _OPENMP
-  const int team = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
   const models::TagsModel model(p);
   std::vector<double> off_ms(kPairs, 0.0), on_ms(kPairs, 0.0), pct;
   for (int pair = 0; pair < kPairs; ++pair) {
@@ -80,9 +68,6 @@ double report_overhead(const char* label, const models::TagsParams& p, int reps)
     }
     pct.push_back(100.0 * (on_ms[pair] - off_ms[pair]) / off_ms[pair]);
   }
-#ifdef _OPENMP
-  omp_set_num_threads(team);
-#endif
   const double overhead = median(pct);
   std::printf("%s (%lld states, %d pairs of %d solves): uncertified %.2f ms, "
               "certified %.2f ms (medians), overhead %.1f%% (median of pairs, "

@@ -229,16 +229,14 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
   // Two-level steps (linalg/inflow_rows.hpp): at each residual check that
   // has not converged, the blocks are rescaled to the coarse chain's
   // masses, unless the check is the last. The next check judges the step:
-  // a residual not below the one before it restores the pi from before the
-  // step, and the solve sweeps on without steps, as it does after a step
-  // that gained less than kStepGain or once a step would move no block's
-  // mass by more than kMinBlockMove.
+  // after one that gained less than kStepGain, or once a step would move
+  // no block's mass by more than kMinBlockMove, the solve keeps pi and
+  // sweeps on without steps.
   bool stepping = rows.blocks() > 0;
   bool stepped = false;
   int steps = 0;
   linalg::CoarseWork coarse;
-  Vec before;  // pi at the check that took the last step
-  double before_residual = 0.0;
+  double step_residual = 0.0;  // the residual at the check that took the last step
   // A sweep is linear and homogeneous in pi, so pi's scale may drift
   // between residual checks: it is renormalised at each check, and every
   // way out of the loop passes through one, which leaves res.residual and
@@ -259,21 +257,13 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
         ++res.iterations;
         break;
       }
-      if (std::exchange(stepped, false)) {
-        if (!(res.residual < before_residual)) {
-          pi.swap(before);
-          res.residual = before_residual;
-          stepping = false;
-          obs::count("ctmc.gauss_seidel.coarse_rollbacks");
-        } else if (res.residual > kStepGain * before_residual) {
-          stepping = false;
-        }
+      if (std::exchange(stepped, false) && !(res.residual <= kStepGain * step_residual)) {
+        stepping = false;
       }
       if (stepping && res.iterations + 1 < opts.max_iter) {
         const obs::Span step_span("solve/coarse-step");
         if (rows.coarse_solve(pi, coarse) > kMinBlockMove) {
-          before = pi;
-          before_residual = res.residual;
+          step_residual = res.residual;
           rows.rescale(pi, coarse);
           stepped = true;
           ++steps;

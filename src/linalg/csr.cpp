@@ -141,9 +141,7 @@ CsrMatrix CsrMatrix::from_dense(const DenseMatrix& dense) {
 void CsrMatrix::multiply(std::span<const double> x, std::span<double> y) const noexcept {
   assert(static_cast<index_t>(x.size()) == cols_);
   assert(static_cast<index_t>(y.size()) == rows_);
-  const index_t n = rows_;
-#pragma omp parallel for schedule(static) if (n > 4096)
-  for (index_t i = 0; i < n; ++i) {
+  for (index_t i = 0; i < rows_; ++i) {
     const auto cs = row_cols(i);
     const auto vs = row_vals(i);
     double acc = 0.0;
@@ -156,8 +154,6 @@ void CsrMatrix::multiply_transpose(std::span<const double> x,
                                    std::span<double> y) const {
   assert(static_cast<index_t>(x.size()) == rows_);
   assert(static_cast<index_t>(y.size()) == cols_);
-  // Row-parallel gather on the cached transpose; per-row partitioning is
-  // deterministic, so the result is bit-identical at any thread count.
   transpose_cache().multiply(x, y);
 }
 

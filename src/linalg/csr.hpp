@@ -42,8 +42,7 @@ class CsrMatrix {
   /// y = A x.
   void multiply(std::span<const double> x, std::span<double> y) const noexcept;
 
-  /// y = A^T x, through the cached transpose: a row-parallel gather instead
-  /// of the serial scatter this used to be.
+  /// y = A^T x, as a row gather on the cached transpose.
   void multiply_transpose(std::span<const double> x, std::span<double> y) const;
 
   /// Explicit transpose (linear time). Fresh copy; solver loops should use

@@ -33,10 +33,7 @@ LuFactorization lu_factor(DenseMatrix a) {
       for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(p, j));
     }
     const double inv_pivot = 1.0 / a(k, k);
-    // Row updates are independent of each other (and the zero-multiplier
-    // skip keeps banded matrices near-linear), so they parallelise with
-    // bit-identical results at any thread count.
-#pragma omp parallel for schedule(static) if (n - k > 256)
+    // The zero-multiplier skip keeps banded matrices near-linear.
     for (std::size_t i = k + 1; i < n; ++i) {
       const double lik = a(i, k) * inv_pivot;
       a(i, k) = lik;

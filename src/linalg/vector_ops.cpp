@@ -1,95 +1,36 @@
 #include "linalg/vector_ops.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace tags::linalg {
 
-namespace {
-
-// Vectors shorter than this run the plain serial loops: below it the OpenMP
-// fork/join overhead dwarfs the arithmetic. Above it, reductions switch to a
-// fixed partition of kBlocks sub-ranges whose boundaries depend only on the
-// vector length — each block is summed serially and the per-block partials
-// are combined in block order, so the floating-point evaluation order (and
-// therefore the result, bit for bit) is independent of the thread count.
-constexpr std::size_t kParCutoff = 8192;
-constexpr std::size_t kBlocks = 64;
-
-struct BlockRange {
-  std::size_t lo, hi;
-};
-
-inline BlockRange block_range(std::size_t n, std::size_t b) noexcept {
-  // ceil-partition: the first (n % kBlocks) blocks get one extra element.
-  const std::size_t base = n / kBlocks;
-  const std::size_t extra = n % kBlocks;
-  const std::size_t lo = b * base + (b < extra ? b : extra);
-  return {lo, lo + base + (b < extra ? 1 : 0)};
-}
-
-}  // namespace
-
 double dot(std::span<const double> x, std::span<const double> y) noexcept {
   assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  if (n <= kParCutoff) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-    return acc;
-  }
-  double partial[kBlocks];
-#pragma omp parallel for schedule(static)
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    const auto [lo, hi] = block_range(n, b);
-    double acc = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) acc += x[i] * y[i];
-    partial[b] = acc;
-  }
   double acc = 0.0;
-  for (std::size_t b = 0; b < kBlocks; ++b) acc += partial[b];
+  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
   return acc;
 }
 
 void axpy(double a, std::span<const double> x, std::span<double> y) noexcept {
   assert(x.size() == y.size());
-  const std::size_t n = x.size();
-#pragma omp parallel for schedule(static) if (n > kParCutoff)
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
 }
 
 void scale(double a, std::span<double> x) noexcept {
-  const std::size_t n = x.size();
-#pragma omp parallel for schedule(static) if (n > kParCutoff)
-  for (std::size_t i = 0; i < n; ++i) x[i] *= a;
+  for (double& v : x) v *= a;
 }
 
 double nrm2(std::span<const double> x) noexcept {
   // Two-pass scaled norm to avoid overflow on pathological inputs.
   const double maxabs = nrm_inf(x);
   if (maxabs == 0.0) return 0.0;
-  const std::size_t n = x.size();
-  if (n <= kParCutoff) {
-    double acc = 0.0;
-    for (const double v : x) {
-      const double s = v / maxabs;
-      acc += s * s;
-    }
-    return maxabs * std::sqrt(acc);
-  }
-  double partial[kBlocks];
-#pragma omp parallel for schedule(static)
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    const auto [lo, hi] = block_range(n, b);
-    double acc = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double s = x[i] / maxabs;
-      acc += s * s;
-    }
-    partial[b] = acc;
-  }
   double acc = 0.0;
-  for (std::size_t b = 0; b < kBlocks; ++b) acc += partial[b];
+  for (const double v : x) {
+    const double s = v / maxabs;
+    acc += s * s;
+  }
   return maxabs * std::sqrt(acc);
 }
 
@@ -97,77 +38,29 @@ double nrm_inf(std::span<const double> x) noexcept {
   // NaN entries must poison the norm: std::max would silently drop them
   // (NaN comparisons are false), reporting a zero "residual" for a vector
   // of NaNs — the exact failure certification exists to catch.
-  const std::size_t n = x.size();
-  if (n <= kParCutoff) {
-    double m = 0.0;
-    for (const double v : x) {
-      const double a = std::abs(v);
-      if (a > m || std::isnan(a)) m = a;
-    }
-    return m;
-  }
-  double partial[kBlocks];
-#pragma omp parallel for schedule(static)
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    const auto [lo, hi] = block_range(n, b);
-    double m = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double a = std::abs(x[i]);
-      if (a > m || std::isnan(a)) m = a;
-    }
-    partial[b] = m;
-  }
   double m = 0.0;
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    if (partial[b] > m || std::isnan(partial[b])) m = partial[b];
+  for (const double v : x) {
+    const double a = std::abs(v);
+    if (a > m || std::isnan(a)) m = a;
   }
   return m;
 }
 
 double nrm1(std::span<const double> x) noexcept {
-  const std::size_t n = x.size();
-  if (n <= kParCutoff) {
-    double acc = 0.0;
-    for (const double v : x) acc += std::abs(v);
-    return acc;
-  }
-  double partial[kBlocks];
-#pragma omp parallel for schedule(static)
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    const auto [lo, hi] = block_range(n, b);
-    double acc = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) acc += std::abs(x[i]);
-    partial[b] = acc;
-  }
   double acc = 0.0;
-  for (std::size_t b = 0; b < kBlocks; ++b) acc += partial[b];
+  for (const double v : x) acc += std::abs(v);
   return acc;
 }
 
 double sum(std::span<const double> x) noexcept {
-  const std::size_t n = x.size();
-  if (n <= kParCutoff) {
-    double acc = 0.0;
-    for (const double v : x) acc += v;
-    return acc;
-  }
-  double partial[kBlocks];
-#pragma omp parallel for schedule(static)
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    const auto [lo, hi] = block_range(n, b);
-    double acc = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) acc += x[i];
-    partial[b] = acc;
-  }
   double acc = 0.0;
-  for (std::size_t b = 0; b < kBlocks; ++b) acc += partial[b];
+  for (const double v : x) acc += v;
   return acc;
 }
 
 double sum_compensated(std::span<const double> x) noexcept {
   // Neumaier's variant of Kahan summation: the correction also covers the
-  // case where the incoming term is larger than the running sum. Stays
-  // serial — the compensation chain is order-dependent by design.
+  // case where the incoming term is larger than the running sum.
   double acc = 0.0;
   double comp = 0.0;
   for (double v : x) {
@@ -200,16 +93,12 @@ double dot_compensated(std::span<const double> x, std::span<const double> y) noe
 }
 
 void set_zero(std::span<double> x) noexcept {
-  const std::size_t n = x.size();
-#pragma omp parallel for schedule(static) if (n > kParCutoff)
-  for (std::size_t i = 0; i < n; ++i) x[i] = 0.0;
+  std::fill(x.begin(), x.end(), 0.0);
 }
 
 void copy(std::span<const double> src, std::span<double> dst) noexcept {
   assert(src.size() == dst.size());
-  const std::size_t n = src.size();
-#pragma omp parallel for schedule(static) if (n > kParCutoff)
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+  std::copy(src.begin(), src.end(), dst.begin());
 }
 
 double normalize_l1(std::span<double> x) noexcept {

@@ -4,8 +4,8 @@
 // constructed with the same name share one metric, so `static` handles in
 // different translation units aggregate together.
 //
-// Everything is safe to call from concurrent threads, including the OpenMP
-// sweep workers. Aggregated reads (value(), the snapshots, ...) take a
+// Everything is safe to call from concurrent threads, including the sweep
+// pool's workers. Aggregated reads (value(), the snapshots, ...) take a
 // registry mutex; the write paths never do. Timings are not kept here: they
 // are spans (obs/span.hpp), and metrics_json() assembles the telemetry
 // document from the registry snapshots and the span layer's views.

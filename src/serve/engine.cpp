@@ -47,8 +47,8 @@ Answer answer_from(const core::ScenarioRequest& scenario,
   return a;
 }
 
-bool closed_form(core::PolicyKind policy) noexcept {
-  return policy == core::PolicyKind::kRandom || policy == core::PolicyKind::kRandomH2;
+CacheKey cache_key(const core::ScenarioRequest& scenario) {
+  return CacheKey{std::string(core::to_string(scenario.policy)), core::rate_digest(scenario)};
 }
 
 }  // namespace
@@ -90,16 +90,13 @@ struct Engine::State {
   std::mutex slots_m;
   std::unordered_map<std::string, std::unique_ptr<Slot>> slots;
   std::uint64_t slot_uses = 0;
-  /// structure_key -> frozen-sparsity digest, learned at first assembly.
-  /// Lets submit() form the full cache key without touching a model.
-  std::unordered_map<std::string, std::uint64_t> structures;
 
   std::atomic<std::uint64_t> requests{0};
   obs::Counter requests_counter;
   obs::Counter cache_loaded_counter;
 
-  /// Replay every valid kAnswer record into the solve cache and structure
-  /// map, so a restarted engine serves known scenarios from cache (cached:
+  /// Replay every valid kAnswer record into the solve cache, so a
+  /// restarted engine serves known scenarios from cache (cached:
   /// true, byte-identical result). Rotten records are skipped by the store
   /// itself; a payload that fails the answer codec is skipped here.
   void warm_load() {
@@ -108,13 +105,7 @@ struct Engine::State {
       store::BufReader rd(rec.payload);
       const auto answer = decode_answer(rd);
       if (!answer) return true;
-      if (!closed_form(answer->scenario.policy)) {
-        learn_structure(core::structure_key(answer->scenario),
-                        answer->structure_digest);
-      }
-      cache.insert(CacheKey{std::string(core::to_string(answer->scenario.policy)),
-                            answer->structure_digest, answer->rate_digest},
-                   *answer);
+      cache.insert(cache_key(answer->scenario), *answer);
       cache_loaded_counter.add(1);
       return true;
     });
@@ -176,21 +167,7 @@ struct Engine::State {
     }
   }
 
-  std::optional<std::uint64_t> known_structure(const core::ScenarioRequest& scenario) {
-    if (closed_form(scenario.policy)) return 0;  // no chain, digest fixed at 0
-    std::lock_guard<std::mutex> lock(slots_m);
-    const auto it = structures.find(core::structure_key(scenario));
-    if (it == structures.end()) return std::nullopt;
-    return it->second;
-  }
-
-  void learn_structure(const std::string& key, std::uint64_t digest) {
-    std::lock_guard<std::mutex> lock(slots_m);
-    structures.emplace(key, digest);
-  }
-
-  void execute(const Request& req, const Responder& respond, bool counted,
-               Clock::time_point admitted);
+  void execute(const Request& req, const Responder& respond, Clock::time_point admitted);
 };
 
 Engine::Engine(EngineOptions opts) : state_(std::make_unique<State>(std::move(opts))) {}
@@ -203,18 +180,11 @@ void Engine::submit(Request req, Responder respond) {
   s.requests_counter.add(1);
   obs::Span span("serve/request");
 
-  // Fast path: with the structure digest already known (any structure seen
-  // before, or a closed-form policy), a cached answer is served from the
-  // submitting thread without queueing at all.
-  bool counted = false;
-  if (const auto structure = s.known_structure(req.scenario)) {
-    const CacheKey key{std::string(core::to_string(req.scenario.policy)), *structure,
-                       core::rate_digest(req.scenario)};
-    counted = true;
-    if (auto hit = s.cache.lookup(key)) {
-      respond(serialize_answer(req.id, *hit, Served{.cached = true}, req.want_pi));
-      return;
-    }
+  // Fast path: a cached answer is served from the submitting thread
+  // without queueing at all. This lookup counts the request's hit or miss.
+  if (auto hit = s.cache.lookup(cache_key(req.scenario))) {
+    respond(serialize_answer(req.id, *hit, Served{.cached = true}, req.want_pi));
+    return;
   }
 
   const auto admitted = Clock::now();
@@ -227,40 +197,33 @@ void Engine::submit(Request req, Responder respond) {
   }
   const std::string id = req.id;
   job.shed = [respond, id](ShedReason reason) { respond(serialize_shed(id, reason)); };
-  job.run = [this, req = std::move(req), respond, counted, admitted] {
-    state_->execute(req, respond, counted, admitted);
+  job.run = [this, req = std::move(req), respond, admitted] {
+    state_->execute(req, respond, admitted);
   };
   if (state_->queue.submit(std::move(job))) {
     s.pool.post([st = state_.get()] { st->queue.run_next(); });
   }
 }
 
-void Engine::State::execute(const Request& req, const Responder& respond, bool counted,
+void Engine::State::execute(const Request& req, const Responder& respond,
                             Clock::time_point admitted) {
   const double queue_ms = ms_since(admitted);
   obs::Span span("serve/solve");
   try {
-    const std::string skey = core::structure_key(req.scenario);
-    const SlotHold hold(*this, skey);
+    const SlotHold hold(*this, core::structure_key(req.scenario));
     Slot& slot = hold.slot;
     std::lock_guard<std::mutex> slot_lock(slot.m);
 
     // Dedupe re-check: a concurrent identical request may have finished
     // while this one was queued (or waiting on the slot). Serving its
-    // answer keeps identical requests bit-identical.
-    if (const auto structure = known_structure(req.scenario)) {
-      const CacheKey key{std::string(core::to_string(req.scenario.policy)), *structure,
-                         core::rate_digest(req.scenario)};
-      if (auto hit = cache.lookup(key, !counted)) {
-        respond(serialize_answer(req.id, *hit,
-                                 Served{.cached = true, .queue_ms = queue_ms},
-                                 req.want_pi));
-        return;
-      }
-    } else if (!counted) {
-      // Unknown structure: nothing with this structure was ever solved, so
-      // this request misses by construction.
-      cache.note_miss();
+    // answer keeps identical requests bit-identical. Admission counted
+    // this request already.
+    const CacheKey key = cache_key(req.scenario);
+    if (auto hit = cache.lookup(key, false)) {
+      respond(serialize_answer(req.id, *hit,
+                               Served{.cached = true, .queue_ms = queue_ms},
+                               req.want_pi));
+      return;
     }
 
     const auto t0 = Clock::now();
@@ -269,13 +232,8 @@ void Engine::State::execute(const Request& req, const Responder& respond, bool c
     const double solve_ms = ms_since(t0);
     const bool warm = slot.slot.warm().hits > warm_before;
 
-    if (!closed_form(req.scenario.policy)) {
-      learn_structure(skey, outcome.structure_digest);
-    }
     const Answer answer = answer_from(req.scenario, outcome);
-    cache.insert(CacheKey{std::string(core::to_string(req.scenario.policy)),
-                          answer.structure_digest, answer.rate_digest},
-                 answer);
+    cache.insert(key, answer);
     // Durability before visibility: the record is fsync'd before the
     // response leaves, so any answer a client ever saw survives a crash.
     persist(answer, outcome, solve_ms);

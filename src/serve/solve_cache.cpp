@@ -16,7 +16,6 @@ namespace {
 struct KeyHash {
   std::size_t operator()(const CacheKey& k) const noexcept {
     std::uint64_t h = ctmc::fnv1a64(k.model.data(), k.model.size());
-    h = ctmc::fnv1a64_u64(k.structure, h);
     h = ctmc::fnv1a64_u64(k.rates, h);
     return static_cast<std::size_t>(h);
   }
@@ -71,12 +70,6 @@ std::optional<Answer> SolveCache::lookup(const CacheKey& key, bool count) {
     s.hit_counter.add(1);
   }
   return it->second->second;
-}
-
-void SolveCache::note_miss() {
-  State& s = *state_;
-  s.misses.fetch_add(1, std::memory_order_relaxed);
-  s.miss_counter.add(1);
 }
 
 void SolveCache::insert(const CacheKey& key, const Answer& answer) {

@@ -1,9 +1,10 @@
 // Thread-safe LRU cache of solved scenarios, keyed on (policy name,
-// frozen-sparsity structure digest, rate-point digest). The value is the
-// full deterministic Answer — metrics, stationary vector, digests — so a
-// hit is served without touching a model or the thread pool, and repeated
-// identical requests are bit-identical by construction: the first computed
-// pi is the one every later hit returns.
+// rate-point digest). The rate digest covers every parameter the policy
+// reads, structural ones included, so the key names one chain and one
+// rate point. The value is the full deterministic Answer — metrics,
+// stationary vector, digests — so a hit is served without touching a model
+// or the thread pool, and repeated identical requests are bit-identical by
+// construction: the first computed pi is the one every later hit returns.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +17,8 @@
 namespace tags::serve {
 
 struct CacheKey {
-  std::string model;               ///< policy wire name
-  std::uint64_t structure = 0;     ///< ctmc::structure_digest (0: closed form)
-  std::uint64_t rates = 0;         ///< core::rate_digest of the request
+  std::string model;        ///< policy wire name
+  std::uint64_t rates = 0;  ///< core::rate_digest of the request
   bool operator==(const CacheKey&) const = default;
 };
 
@@ -37,10 +37,6 @@ class SolveCache {
   /// fast path, then the dedupe re-check under the slot lock) pass false on
   /// the second probe so each request is counted exactly once.
   [[nodiscard]] std::optional<Answer> lookup(const CacheKey& key, bool count = true);
-
-  /// Count a miss without probing — for requests whose full key cannot be
-  /// formed yet (structure never assembled), which miss by construction.
-  void note_miss();
 
   /// Insert (or overwrite — idempotent for identical keys, which is what
   /// concurrent duplicate requests produce). Evicts the least-recently-used

@@ -20,7 +20,8 @@ void encode_answer(const Answer& answer, store::BufWriter& w);
 [[nodiscard]] std::optional<Answer> decode_answer(store::BufReader& rd);
 
 /// The store key of an answer: kAnswer / policy wire name / structure
-/// digest / rate digest — the same triple the engine's solve cache keys on.
+/// digest / rate digest. The engine's solve cache keys on the policy and
+/// the rate digest alone, which already name the chain.
 [[nodiscard]] store::RecordKey answer_key(const Answer& answer);
 
 /// Assemble the full record: key, certificate summary, solve time, and the

@@ -1,7 +1,7 @@
 // The two-level Gauss-Seidel solve: chains whose builders supply a
 // partition of their states are solved by sweeps plus, at each residual
 // check, a rescaling of the blocks to the stationary masses of the coarse
-// chain on them. It agrees with dense LU, keeps the sweep count of plain
+// chain on them. It agrees with dense LU, takes no more sweeps than plain
 // Gauss-Seidel where the slow mode is not between the blocks, stops its
 // steps cleanly where the coarse chain is reducible, and its partition
 // is structure: the TAGS builders and PEPA derivation attach it, and
@@ -125,8 +125,10 @@ TEST(TwoLevel, WarmStartConverges) {
 TEST(TwoLevel, GuardKeepsDeepChainsAtThePlainSweepCount) {
   // K2 = 1: 9 node-2 blocks, and the slow mode runs within node 1. A step
   // rescales the blocks by about 1% without speeding the sweeps up, so the
-  // gain test ends the steps and the count stays within one 16-sweep
-  // residual check of plain Gauss-Seidel's.
+  // gain test ends the steps after one, which keeps pi: plain
+  // Gauss-Seidel's residual is not monotone here, and the step leaves
+  // every later residual below the plain ones, so the count never exceeds
+  // plain Gauss-Seidel's.
   models::TagsParams tp;
   tp.k1 = 64;
   tp.k2 = 1;
@@ -138,7 +140,7 @@ TEST(TwoLevel, GuardKeepsDeepChainsAtThePlainSweepCount) {
     const auto two_level = ctmc::steady_state(*q);
     const auto plain = ctmc::steady_state(bare(*q));
     EXPECT_TRUE(two_level.certificate.ok());
-    EXPECT_LE(std::abs(two_level.iterations - plain.iterations), 16)
+    EXPECT_LE(two_level.iterations, plain.iterations)
         << two_level.iterations << " against " << plain.iterations;
   }
 }

@@ -109,6 +109,6 @@ TEST_P(VectorPropertyTest, NormalizeMakesUnitSum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, VectorPropertyTest,
-                         ::testing::Values(0, 1, 2, 3, 7, 16, 33, 100, 1000));
+                         ::testing::Values(0, 1, 2, 3, 7, 16, 33, 100, 1000, 100000));
 
 }  // namespace

@@ -119,7 +119,9 @@ TEST(ServeEngine, ZeroDeadlineIsShedBeforeSolving) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.jobs_shed, 1u);
   EXPECT_EQ(stats.deadline_missed, 1u);
-  EXPECT_EQ(stats.cache_misses, 0u);  // shed requests never touch the cache
+  // Admission counts every request once, as a hit or a miss, before the
+  // queue decides to shed it.
+  EXPECT_EQ(stats.cache_misses, 1u);
 }
 
 TEST(ServeEngine, InvalidParametersProduceErrorResponse) {
@@ -180,6 +182,23 @@ TEST(ServeEngine, SlotMapStaysAtItsBound) {
   }
   EXPECT_EQ(engine.stats().slots, serve::kMaxSlots);
   EXPECT_EQ(slots_reported(), static_cast<double>(serve::kMaxSlots));
+}
+
+TEST(ServeEngine, FieldThePolicyDoesNotReadSharesTheCachedAnswer) {
+  // round_robin reads k1 but not k2: a request differing only in k2 names
+  // the same chain and rates, so it is answered from the cache.
+  Engine engine(EngineOptions{.threads = 1});
+  auto scenario = small_scenario();
+  scenario.policy = core::PolicyKind::kRoundRobin;
+  const std::string first = submit_and_wait(engine, solve_request(scenario, "a", true));
+  EXPECT_NE(first.find("\"cached\":false"), std::string::npos) << first;
+  scenario.k2 = 5;
+  const std::string second = submit_and_wait(engine, solve_request(scenario, "b", true));
+  EXPECT_NE(second.find("\"cached\":true"), std::string::npos) << second;
+  EXPECT_EQ(result_part(first), result_part(second));
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
 }
 
 TEST(ServeEngine, ClosedFormPoliciesCacheToo) {
