@@ -53,6 +53,18 @@ inline store::SolveStore* store_from_args(int argc, char** argv) {
   return bench_store();
 }
 
+/// A `--threads=N` value through ThreadPool::parse_threads (0 keeps the
+/// default). A malformed or oversized value exits 2.
+inline unsigned threads_flag_or_exit(const char* value) {
+  const std::optional<unsigned> threads = core::ThreadPool::parse_threads(value);
+  if (!threads) {
+    std::fprintf(stderr, "error: --threads= expects 0..%u, got '%s'\n",
+                 core::ThreadPool::kMaxThreads, value);
+    std::exit(2);
+  }
+  return *threads;
+}
+
 /// Sweep execution plan for the figure drivers: `--threads=N` on the
 /// command line wins, otherwise TAGS_SWEEP_THREADS, otherwise hardware
 /// concurrency (see ThreadPool::default_threads). The thread count is an
@@ -63,10 +75,7 @@ inline core::SweepPlan sweep_plan_from_args(int argc, char** argv) {
   core::SweepPlan plan;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      const long v = std::strtol(arg.c_str() + 10, nullptr, 10);
-      if (v > 0) plan.threads = static_cast<unsigned>(v);
-    }
+    if (arg.rfind("--threads=", 0) == 0) plan.threads = threads_flag_or_exit(argv[i] + 10);
   }
   if (plan.threads == 0) plan.threads = core::ThreadPool::default_threads();
   return plan;
@@ -86,23 +95,9 @@ inline void print_sweep_stats(const core::SweepStats& stats) {
               static_cast<unsigned long long>(stats.warm.uncertified));
 }
 
-/// Print the standard header for a figure reproduction. Also installs a
-/// JSONL trace sink when TAGS_OBS_TRACE_FILE names a path (pair with
-/// TAGS_OBS_LEVEL=2 to capture per-iteration solver residuals).
+/// Print the standard header for a figure reproduction.
 inline void figure_header(const std::string& id, const std::string& description,
                           const std::string& params) {
-#if TAGS_OBS_ENABLED
-  if (const char* trace_file = std::getenv("TAGS_OBS_TRACE_FILE")) {
-    auto sink = std::make_shared<obs::JsonlSink>(trace_file);
-    if (sink->ok()) {
-      obs::install_trace_sink(std::move(sink));
-      std::printf("[trace events -> %s]\n", trace_file);
-    } else {
-      std::fprintf(stderr, "[cannot open trace file %s; tracing disabled]\n",
-                   trace_file);
-    }
-  }
-#endif
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", id.c_str(), description.c_str());
   std::printf("paper: Thomas, 'Modelling job allocation where service\n");

@@ -94,14 +94,12 @@ TwoLevelComparison compare_two_level(const char* label, const linalg::CsrMatrix&
 }
 
 int run_solvers_report() {
-#if TAGS_OBS_ENABLED
   obs::Counter cache_hits("numerics.transpose_cache.hits");
   obs::Counter cache_misses("numerics.transpose_cache.misses");
   obs::Counter coarse_steps("ctmc.gauss_seidel.coarse_steps");
   const std::uint64_t hits_before = cache_hits.value();
   const std::uint64_t misses_before = cache_misses.value();
   const std::uint64_t steps_before = coarse_steps.value();
-#endif
 
   // The paper's Fig 5 model near the fig09 optimum, derived from source:
   // its partition is the local state of Node2 = Q2 <...> T2.
@@ -118,14 +116,10 @@ int run_solvers_report() {
   const models::TagsModel rare_model(rare);
   const auto rare_cmp = compare_two_level("tags k=10 t=0.3 (rare)", rare_model.chain().generator());
 
-#if TAGS_OBS_ENABLED
   const double hit_delta = static_cast<double>(cache_hits.value() - hits_before);
   const double miss_delta =
       static_cast<double>(cache_misses.value() - misses_before);
   const double step_delta = static_cast<double>(coarse_steps.value() - steps_before);
-#else
-  const double hit_delta = 0.0, miss_delta = 0.0, step_delta = 0.0;
-#endif
   std::printf("transpose cache during report: %g hits, %g builds; %g coarse steps\n",
               hit_delta, miss_delta, step_delta);
 

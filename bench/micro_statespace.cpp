@@ -159,12 +159,10 @@ double run_rebind_report() {
   // rate rebind only refreshes cached values — the transposed pattern is
   // built once per model, not once per sweep point. Pin that with a
   // solve / rebind / solve round trip on a small chain.
-#if TAGS_OBS_ENABLED
   obs::Counter cache_misses("numerics.transpose_cache.misses");
   obs::Counter cache_refreshes("numerics.transpose_cache.refreshes");
   const std::uint64_t misses_before = cache_misses.value();
   const std::uint64_t refreshes_before = cache_refreshes.value();
-#endif
   models::TagsParams cache_p = base;
   cache_p.k1 = cache_p.k2 = 4;
   models::TagsModel cache_model(cache_p);
@@ -172,7 +170,6 @@ double run_rebind_report() {
   cache_p.t += 1.0;
   cache_model.rebind(cache_p);
   benchmark::DoNotOptimize(cache_model.solve().pi.data());  // refresh, no rebuild
-#if TAGS_OBS_ENABLED
   const std::uint64_t pattern_builds = cache_misses.value() - misses_before;
   const std::uint64_t refreshes = cache_refreshes.value() - refreshes_before;
   const bool pattern_reused = pattern_builds == 1 && refreshes >= 1;
@@ -183,7 +180,6 @@ double run_rebind_report() {
               pattern_reused ? "yes" : "NO");
   obs::gauge_set("bench.micro_statespace.transpose_cache_pattern_reuse",
                  pattern_reused ? 1.0 : 0.0);
-#endif
 
   obs::gauge_set("bench.micro_statespace.sweep_points",
                  static_cast<double>(t_values.size()));

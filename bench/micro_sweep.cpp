@@ -164,8 +164,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--sweep-report-only") == 0) {
       report_only = true;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const long v = std::strtol(argv[i] + 10, nullptr, 10);
-      if (v > 0) threads = static_cast<unsigned>(v);
+      if (const unsigned v = tags::bench::threads_flag_or_exit(argv[i] + 10); v > 0) threads = v;
     } else {
       argv[kept++] = argv[i];
     }

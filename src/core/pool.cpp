@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/numio.hpp"
 #include "obs/obs.hpp"
 
 namespace tags::core {
@@ -261,11 +262,16 @@ std::uint64_t ThreadPool::tasks_completed() const {
 
 unsigned ThreadPool::default_threads() {
   if (const char* env = std::getenv("TAGS_SWEEP_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+    if (const std::optional<unsigned> v = parse_threads(env); v && *v > 0) return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+std::optional<unsigned> ThreadPool::parse_threads(std::string_view text) noexcept {
+  const std::optional<unsigned> v = numio::parse_int<unsigned>(text);
+  if (!v || *v > kMaxThreads) return std::nullopt;
+  return v;
 }
 
 }  // namespace tags::core

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,11 @@ namespace tags::core {
 
 class ThreadPool {
  public:
+  /// The most threads any flag or TAGS_SWEEP_THREADS may ask for: well
+  /// above the core count of the machines this runs on, and far below a
+  /// count that could exhaust the process's thread limit.
+  static constexpr unsigned kMaxThreads = 256;
+
   /// Spawns `threads` persistent workers (0 picks default_threads()).
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
@@ -64,9 +71,14 @@ class ThreadPool {
   [[nodiscard]] std::uint64_t tasks_completed() const;
 
   /// Thread count used when a caller passes 0: the TAGS_SWEEP_THREADS
-  /// environment variable when set to a positive integer, otherwise
-  /// std::thread::hardware_concurrency(), never less than 1.
+  /// environment variable when parse_threads accepts it and it is not 0,
+  /// otherwise std::thread::hardware_concurrency(), never less than 1.
   [[nodiscard]] static unsigned default_threads();
+
+  /// A thread count as --threads= and TAGS_SWEEP_THREADS spell it: a whole
+  /// unsigned decimal no greater than kMaxThreads, where 0 asks for the
+  /// default. nullopt for anything else ("", "2x", "-1", "100000").
+  [[nodiscard]] static std::optional<unsigned> parse_threads(std::string_view text) noexcept;
 
  private:
   struct State;

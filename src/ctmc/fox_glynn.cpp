@@ -95,14 +95,6 @@ FoxGlynnWeights fox_glynn(double q, double eps) {
     for (double& v : fg.weights) v *= inv;
   } else {
     obs::count("numerics.fox_glynn.mass_failures");
-    if (obs::tracing_on()) {
-      obs::TraceEvent ev;
-      ev.name = "numerics.fox_glynn_mass_failure";
-      ev.num.emplace_back("q", q);
-      ev.num.emplace_back("total_weight", fg.total_weight);
-      ev.num.emplace_back("window", static_cast<double>(fg.size()));
-      obs::emit(std::move(ev));
-    }
   }
   return fg;
 }

@@ -46,23 +46,12 @@ void append_attempts(obs::SolveRecord& rec, const std::vector<SteadyStateAttempt
   }
 }
 
-/// Trace a kAuto transition from a failed method to the next one. `reason`
-/// distinguishes a raw convergence failure from a converged-but-uncertified
-/// result (certification escalation).
-void trace_fallback(SteadyStateMethod from, SteadyStateMethod to, double residual,
-                    const char* reason) {
+/// Count a kAuto stage declined in favour of the next one. A declined
+/// stage that had converged failed only its certificate: that is also a
+/// certification escalation.
+void count_fallback(bool converged) {
   obs::count("ctmc.steady_state.fallbacks");
-  if (std::string_view(reason) != "residual") {
-    obs::count("numerics.certify.escalations");
-  }
-  if (!obs::tracing_on()) return;
-  obs::TraceEvent ev;
-  ev.name = "steady_state.fallback";
-  ev.str.emplace_back("from", std::string(to_string(from)));
-  ev.str.emplace_back("to", std::string(to_string(to)));
-  ev.str.emplace_back("reason", reason);
-  ev.num.emplace_back("residual", residual);
-  obs::emit(std::move(ev));
+  if (converged) obs::count("numerics.certify.escalations");
 }
 
 using linalg::CooMatrix;
@@ -111,11 +100,6 @@ bool accepted(const SteadyStateResult& res, const SteadyStateOptions& opts) {
   return res.converged && (!opts.certify || res.certificate.ok());
 }
 
-/// Why the chain moved on — for the fallback trace.
-const char* fallback_reason(const SteadyStateResult& res) {
-  return res.converged ? "certification" : "residual";
-}
-
 Vec initial_vector(const System& sys, const SteadyStateOptions& opts) {
   const std::size_t n = static_cast<std::size_t>(sys.n());
   if (opts.initial_guess && opts.initial_guess->size() == n) {
@@ -126,11 +110,14 @@ Vec initial_vector(const System& sys, const SteadyStateOptions& opts) {
   return Vec(n, 1.0 / static_cast<double>(n));
 }
 
-/// Stamp the per-attempt span with the outcome every solver reports.
+/// Stamp the per-attempt span with the outcome every solver reports. Why
+/// kAuto declined a stage reads off the pair: converged 0 is a residual
+/// failure, converged 1 with certified 0 a certification escalation.
 void close_attempt_span(obs::Span& span, const SteadyStateResult& res) {
   span.attr("iterations", static_cast<double>(res.iterations));
   span.attr("residual", res.residual);
   span.attr("converged", res.converged ? 1.0 : 0.0);
+  span.attr("certified", res.certificate.ok() ? 1.0 : 0.0);
 }
 
 SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& opts) {
@@ -251,7 +238,6 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
     if ((res.iterations & 15) == 15 || res.iterations + 1 == opts.max_iter) {
       linalg::normalize_l1(pi);
       res.residual = rows.residual(pi, scratch);
-      obs::trace_iteration("steady.gauss-seidel", res.iterations, res.residual);
       if (res.residual <= tol) {
         res.converged = true;
         ++res.iterations;
@@ -319,7 +305,6 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
     pi.swap(next);
     if ((res.iterations & 15) == 15 || res.iterations + 1 == opts.max_iter) {
       res.residual = balance_residual(qt, pi, scratch);
-      obs::trace_iteration("steady.power", res.iterations, res.residual);
       if (res.residual <= tol) {
         res.converged = true;
         ++res.iterations;
@@ -385,15 +370,12 @@ bool starts_with_gauss_seidel(const SteadyStateOptions& opts, index_t n) {
 SteadyStateResult solve_auto(const System& sys, const SteadyStateOptions& opts) {
   std::vector<SteadyStateAttempt> attempts;
   std::optional<SteadyStateResult> best;  // lowest-residual last-resort result
-  struct Failure {
-    SteadyStateMethod method;
-    double residual;
-    const char* reason;
-  };
-  std::optional<Failure> failed;  // traced once the next stage actually runs
+  // Whether the last declined stage had converged; counted once the next
+  // stage actually runs.
+  std::optional<bool> declined_converged;
   for (const Stage& stage : kAutoChain) {
     if (!stage.enabled(sys.n())) continue;
-    if (failed) trace_fallback(failed->method, stage.method, failed->residual, failed->reason);
+    if (declined_converged) count_fallback(*declined_converged);
     SteadyStateResult res;
     if (stage.last_resort && best) {
       SteadyStateOptions warm = opts;
@@ -407,7 +389,7 @@ SteadyStateResult solve_auto(const System& sys, const SteadyStateOptions& opts) 
       res.attempts = std::move(attempts);
       return res;
     }
-    failed = Failure{stage.method, res.residual, fallback_reason(res)};
+    declined_converged = res.converged;
     if (stage.last_resort && !(best && best->residual <= res.residual)) best = std::move(res);
   }
   // The whole chain is exhausted and nothing passed: the caller gets the

@@ -65,13 +65,6 @@ Vec step(const CsrMatrix& pt, Vec pi, double lambda, double t,
   const double mass = linalg::normalize_l1(result);
   if (!(mass > 0.0) || !std::isfinite(mass)) {
     obs::count("numerics.uniformization.zero_mass_guards");
-    if (obs::tracing_on()) {
-      obs::TraceEvent ev;
-      ev.name = "numerics.uniformization_zero_mass";
-      ev.num.emplace_back("q", q);
-      ev.num.emplace_back("mass", mass);
-      obs::emit(std::move(ev));
-    }
   }
   return result;
 }

@@ -41,7 +41,7 @@ struct TransientResult {
 
 /// Distribution at time t starting from pi0 (must sum to 1). Convenience
 /// wrapper over the certified variant; certification failures are still
-/// counted/traced, the certificate is just not returned.
+/// counted, the certificate is just not returned.
 [[nodiscard]] linalg::Vec transient_distribution(const Ctmc& chain,
                                                  const linalg::Vec& pi0, double t,
                                                  const TransientOptions& opts = {});

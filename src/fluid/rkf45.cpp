@@ -20,14 +20,6 @@ Vec rkf45_integrate(const OdeRhs& f, Vec y, double t0, double t_end,
       // The remaining gap is below one ulp of t: t += h would not move and
       // the loop would spin forever. Within rounding, we are at t_end.
       obs::count("numerics.rkf45.stall_terminations");
-      if (obs::tracing_on()) {
-        obs::TraceEvent ev;
-        ev.name = "numerics.rkf45_stall";
-        ev.num.emplace_back("t", t);
-        ev.num.emplace_back("t_end", t_end);
-        ev.num.emplace_back("h", h);
-        obs::emit(std::move(ev));
-      }
       break;
     }
     f(t, y, k1);
@@ -70,14 +62,6 @@ Vec rkf45_integrate(const OdeRhs& f, Vec y, double t0, double t_end,
         // this step. Count it so a stiff run that rode min_dt the whole way
         // is distinguishable from one the controller actually resolved.
         obs::count("numerics.rkf45.forced_min_dt_steps");
-        if (obs::tracing_on()) {
-          obs::TraceEvent ev;
-          ev.name = "numerics.rkf45_error_control_loss";
-          ev.num.emplace_back("t", t);
-          ev.num.emplace_back("h", h);
-          ev.num.emplace_back("err", err);
-          obs::emit(std::move(ev));
-        }
       }
       t += h;
       y = y5;  // local extrapolation

@@ -17,19 +17,10 @@ bool all_finite(std::span<const double> x) noexcept {
   return true;
 }
 
-/// Shared epilogue: count the check, trace the first failed predicate.
+/// Shared epilogue: count the check and, when it failed, the failure.
 void bookkeep(const Certificate& cert) {
   obs::count("numerics.certify.checks");
-  if (cert.ok()) return;
-  obs::count("numerics.certify.failures");
-  if (!obs::tracing_on()) return;
-  obs::TraceEvent ev;
-  ev.name = "numerics.certification_failed";
-  ev.str.emplace_back("check", cert.failed_check());
-  ev.num.emplace_back("residual", cert.residual);
-  ev.num.emplace_back("mass_error", cert.mass_error);
-  ev.num.emplace_back("condition", cert.condition);
-  obs::emit(std::move(ev));
+  if (!cert.ok()) obs::count("numerics.certify.failures");
 }
 
 }  // namespace

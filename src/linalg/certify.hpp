@@ -7,9 +7,8 @@
 // the solver's own bookkeeping, so a solver that silently lost error
 // control fails certification even when its internal state says converged.
 //
-// Certification failures are counted under "numerics.certify.*" and, when
-// tracing is on, emitted as "numerics.certification_failed" events naming
-// the failed check.
+// Certification checks and failures are counted under "numerics.certify.*";
+// failed_check() names the first failed predicate.
 #pragma once
 
 #include <span>
@@ -51,7 +50,7 @@ struct Certificate {
   [[nodiscard]] bool ok() const noexcept {
     return finite && residual_ok && mass_ok && condition_ok;
   }
-  /// Name of the first failed check ("" when ok) — for trace events.
+  /// Name of the first failed check ("" when ok) — for diagnostics.
   [[nodiscard]] const char* failed_check() const noexcept;
 };
 
@@ -59,8 +58,7 @@ struct Certificate {
 /// SpMV, guard non-finite entries, and (optionally) check probability mass.
 /// `condition` is a pre-computed condition estimate for A (0 when none was
 /// computed) — it is recorded on the certificate and checked against
-/// condition_limit. Counts numerics.certify.checks / .failures and traces
-/// failures.
+/// condition_limit. Counts numerics.certify.checks / .failures.
 [[nodiscard]] Certificate certify_solution(const CsrMatrix& a, std::span<const double> x,
                                            std::span<const double> b,
                                            const CertifyOptions& opts,

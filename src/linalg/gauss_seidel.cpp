@@ -97,13 +97,6 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
   // of a poisoned vector.
   if (const index_t bad = find_zero_diagonal(diag); bad >= 0) {
     obs::count("numerics.gauss_seidel.zero_diagonal");
-    if (obs::tracing_on()) {
-      obs::TraceEvent ev;
-      ev.name = "numerics.gauss_seidel_zero_diagonal";
-      ev.num.emplace_back("row", static_cast<double>(bad));
-      ev.num.emplace_back("n", static_cast<double>(n));
-      obs::emit(std::move(ev));
-    }
     res.residual = initial_residual;
     finalize_solve(res, a.rows(), b_norm, initial_residual, start_ns, "zero-diagonal");
     res.diverged = true;  // after finalize_solve, which re-derives the flag
@@ -117,7 +110,6 @@ SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b, Vec& x,
     const bool check_now = max_update <= opts.tol || (res.iterations & 31) == 31;
     if (check_now) {
       res.residual = a.residual_inf(x, b, scratch);
-      obs::trace_iteration("gauss-seidel", res.iterations, res.residual);
       if (res.residual <= opts.tol) {
         res.converged = true;
         ++res.iterations;

@@ -8,8 +8,8 @@
 //    timers, for scraping by a tags_server /stats endpoint or node
 //    textfile collectors.
 //
-// Both are always linkable: with TAGS_ENABLE_OBS=OFF (or level 0) they emit
-// empty-but-valid documents, mirroring write_telemetry_json.
+// At level 0 both emit empty-but-valid documents, mirroring
+// write_telemetry_json.
 #pragma once
 
 #include <string>

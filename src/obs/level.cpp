@@ -1,29 +1,28 @@
 #include "obs/level.hpp"
 
-#if TAGS_OBS_ENABLED
-
 #include <cstdlib>
-#include <cstring>
 
-namespace tags::obs::detail {
+#include "obs/numio.hpp"
+
+namespace tags::obs {
+
+std::optional<Level> parse_level(std::string_view text) noexcept {
+  if (text == "off") return Level::kOff;
+  if (text == "metrics") return Level::kMetrics;
+  const std::optional<long long> v = numio::parse_int<long long>(text);
+  if (!v) return std::nullopt;
+  return *v <= 0 ? Level::kOff : Level::kMetrics;
+}
+
+namespace detail {
 
 int init_level_from_env() noexcept {
   const char* env = std::getenv("TAGS_OBS_LEVEL");
-  if (env == nullptr || *env == '\0') return static_cast<int>(Level::kMetrics);
-  if (std::strcmp(env, "off") == 0) return static_cast<int>(Level::kOff);
-  if (std::strcmp(env, "metrics") == 0) return static_cast<int>(Level::kMetrics);
-  if (std::strcmp(env, "trace") == 0) return static_cast<int>(Level::kTrace);
-  if (std::strcmp(env, "debug") == 0) return static_cast<int>(Level::kDebug);
-  // Unrecognised text keeps the default rather than silently disabling
-  // everything (atoi("garbage") would read as 0 = off).
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') return static_cast<int>(Level::kMetrics);
-  if (v < static_cast<long>(Level::kOff)) return static_cast<int>(Level::kOff);
-  if (v > static_cast<long>(Level::kDebug)) return static_cast<int>(Level::kDebug);
-  return static_cast<int>(v);
+  const std::optional<Level> parsed =
+      env != nullptr ? parse_level(env) : std::nullopt;
+  return static_cast<int>(parsed.value_or(Level::kMetrics));
 }
 
-}  // namespace tags::obs::detail
+}  // namespace detail
 
-#endif  // TAGS_OBS_ENABLED
+}  // namespace tags::obs

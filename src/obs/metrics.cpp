@@ -1,7 +1,14 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cassert>
+#include <chrono>
+#include <memory>
+#include <mutex>
 #include <string_view>
+#include <unordered_map>
 
 #include "obs/export.hpp"
 #include "obs/json.hpp"
@@ -37,26 +44,6 @@ double bucket_percentile(const std::vector<double>& bounds,
   }
   return bounds.back();
 }
-
-}  // namespace
-
-}  // namespace tags::obs
-
-#if TAGS_OBS_ENABLED
-
-#include <array>
-#include <atomic>
-#include <cassert>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-
-namespace tags::obs {
-
-namespace {
 
 // Counters beyond this many distinct names fall back to a shared atomic.
 constexpr std::size_t kSlabSlots = 1024;
@@ -376,12 +363,6 @@ void reset_metrics() {
   detail::reset_spans();
 }
 
-}  // namespace tags::obs
-
-#endif  // TAGS_OBS_ENABLED
-
-namespace tags::obs {
-
 namespace {
 
 enum class Kind { kCounter, kGauge };
@@ -437,9 +418,7 @@ std::string metrics_json(const std::string& id) {
   w.begin_object();
   w.field("id", id);
   w.field("schema_version", static_cast<std::int64_t>(6));
-  // -1 marks a build with the layer compiled out.
-  w.field("obs_level",
-          TAGS_OBS_ENABLED ? static_cast<std::int64_t>(level()) : std::int64_t{-1});
+  w.field("obs_level", static_cast<std::int64_t>(level()));
 
   w.key("timers");
   w.begin_object();

@@ -57,8 +57,6 @@ struct HistogramSnapshot {
   double sum = 0.0;
 };
 
-#if TAGS_OBS_ENABLED
-
 class Counter {
  public:
   explicit Counter(const std::string& name);
@@ -130,66 +128,17 @@ void record_solve(SolveRecord rec);
 /// Zero all values and drop the solve log; registered names survive.
 void reset_metrics();
 
-#else  // TAGS_OBS_ENABLED
-
-class Counter {
- public:
-  explicit Counter(const std::string&) {}
-  void add(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  explicit Gauge(const std::string&) {}
-  void set(double) noexcept {}
-  [[nodiscard]] double value() const { return 0.0; }
-};
-
-class Histogram {
- public:
-  Histogram(const std::string&, std::vector<double>) {}
-  [[nodiscard]] static std::vector<double> exponential_bounds(double, double,
-                                                              std::size_t) {
-    return {};
-  }
-  [[nodiscard]] static std::vector<double> linear_bounds(double, double, std::size_t) {
-    return {};
-  }
-  void observe(double) noexcept {}
-  [[nodiscard]] std::uint64_t count() const { return 0; }
-  [[nodiscard]] double sum() const { return 0.0; }
-  [[nodiscard]] double percentile(double) const { return 0.0; }
-};
-
-inline void count(const char*, std::uint64_t = 1) {}
-inline void gauge_set(const char*, double) {}
-inline void observe(const char*, double) {}
-inline void record_solve(SolveRecord) {}
-[[nodiscard]] inline std::vector<SolveRecord> solve_records() { return {}; }
-[[nodiscard]] inline std::uint64_t solves_dropped() { return 0; }
-[[nodiscard]] inline std::uint64_t now_ns() noexcept { return 0; }
-
-[[nodiscard]] inline std::vector<CounterSnapshot> counter_snapshots() { return {}; }
-[[nodiscard]] inline std::vector<GaugeSnapshot> gauge_snapshots() { return {}; }
-[[nodiscard]] inline std::vector<HistogramSnapshot> histogram_snapshots() {
-  return {};
-}
-inline void reset_metrics() {}
-
-#endif  // TAGS_OBS_ENABLED
-
 /// Whole-registry JSON snapshot (per-span-name timers, spans, counters,
 /// gauges, histograms, solve log, and the server/store sections) — the
 /// object written by write_telemetry_json. Schema v6:
-/// tools/check_bench_json.py. Written from the snapshot API above, so an
-/// obs-off build emits the same document with every collection empty and
+/// tools/check_bench_json.py. Written from the snapshot API above, so a
+/// run at level off emits the same document with every collection empty and
 /// every section field zero.
 [[nodiscard]] std::string metrics_json(const std::string& id);
 
-/// Writes metrics_json(id) to `path`, creating parent directories. Always
-/// available (emits an empty-but-schema-valid document when observability is
-/// compiled out or the level is 0). Returns false on I/O failure.
+/// Writes metrics_json(id) to `path`, creating parent directories (an
+/// empty-but-schema-valid document at level off). Returns false on I/O
+/// failure.
 bool write_telemetry_json(const std::string& path, const std::string& id);
 
 }  // namespace tags::obs

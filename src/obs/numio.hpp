@@ -41,6 +41,18 @@ inline std::string format_roundtrip(double v) {
   return std::string(buf, end);
 }
 
+/// Parse a whole token as a decimal integer of type T: nullopt unless the
+/// entire token is consumed and fits T, so "2x", " 1", "" and, for an
+/// unsigned T, "-1" are rejected rather than read as whatever prefix
+/// strtol or atoi would make of them.
+template <class T>
+std::optional<T> parse_int(std::string_view s) {
+  T v{};
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
 /// Parse a whole token as a double, locale-independently, with strtod's
 /// range semantics: a syntactically valid number whose magnitude overflows
 /// yields +-infinity, one that underflows yields +-0.0 (from_chars alone

@@ -1,7 +1,5 @@
 #include "obs/span.hpp"
 
-#if TAGS_OBS_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <mutex>
@@ -40,8 +38,8 @@ std::uint32_t this_thread_index() {
 }
 
 std::uint64_t span_clock_start_ns() {
-  // Shares t=0 semantics with trace events: pinned at first use, so span
-  // timestamps and trace timestamps are directly comparable.
+  // Pinned at first use: span timestamps count from the first span the
+  // process opens.
   static const std::uint64_t start = now_ns();
   return start;
 }
@@ -166,5 +164,3 @@ void reset_spans() {
 }  // namespace detail
 
 }  // namespace tags::obs
-
-#endif  // TAGS_OBS_ENABLED

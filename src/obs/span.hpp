@@ -18,8 +18,7 @@
 // exit takes a mutex. The record store caps at kMaxSpanRecords; beyond that
 // spans are counted in trace.spans_dropped and their records discarded (ids
 // keep advancing, so parent links in surviving records stay valid), while
-// the per-name aggregate still counts them. Compiled out under
-// TAGS_ENABLE_OBS=OFF.
+// the per-name aggregate still counts them.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +56,6 @@ struct SpanStat {
   std::uint64_t total_ns = 0;
   std::uint64_t self_ns = 0;  ///< same-thread children excluded, as in SpanRecord
 };
-
-#if TAGS_OBS_ENABLED
 
 class Span {
  public:
@@ -119,26 +116,5 @@ class Span {
 namespace detail {
 void reset_spans();  // called by reset_metrics()
 }
-
-#else  // TAGS_OBS_ENABLED
-
-class Span {
- public:
-  explicit Span(std::string_view) noexcept {}
-  Span(std::string_view, std::uint64_t) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void attr(std::string_view, double) noexcept {}
-  void attr(std::string_view, std::string_view) noexcept {}
-  [[nodiscard]] std::uint64_t id() const noexcept { return 0; }
-  [[nodiscard]] static std::uint64_t current_id() noexcept { return 0; }
-};
-
-[[nodiscard]] inline std::vector<SpanRecord> span_records() { return {}; }
-[[nodiscard]] inline std::vector<SpanRecord> span_records_export() { return {}; }
-[[nodiscard]] inline std::map<std::string, SpanStat> span_stats() { return {}; }
-[[nodiscard]] inline std::uint64_t spans_dropped() noexcept { return 0; }
-
-#endif  // TAGS_OBS_ENABLED
 
 }  // namespace tags::obs

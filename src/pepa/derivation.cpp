@@ -544,26 +544,10 @@ DerivedModel derive(const Model& model, std::string_view system_name,
 
   std::size_t n_transitions = 0;
   std::size_t dedup_hits = 0;
-  std::size_t explored = 0;
-  // Emit a progress event every 8192 explored states when tracing.
-  constexpr std::size_t kProgressMask = 8191;
 
   while (!frontier.empty()) {
     const ctmc::index_t cur = frontier.front();
     frontier.pop();
-    ++explored;
-    if ((explored & kProgressMask) == 0 && obs::tracing_on()) {
-      const double elapsed_s =
-          static_cast<double>(obs::now_ns() - obs_start_ns) / 1e9;
-      obs::TraceEvent ev;
-      ev.name = "derive.progress";
-      ev.num.emplace_back("states", static_cast<double>(states.size()));
-      ev.num.emplace_back("transitions", static_cast<double>(n_transitions));
-      ev.num.emplace_back("states_per_sec",
-                          elapsed_s > 0.0 ? static_cast<double>(explored) / elapsed_s
-                                          : 0.0);
-      obs::emit(std::move(ev));
-    }
     const std::vector<seq_id> state = states[static_cast<std::size_t>(cur)];
     for (const GlobalMove& mv : deriver.moves(state)) {
       if (mv.rate.passive) {

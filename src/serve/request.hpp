@@ -77,7 +77,7 @@ struct Served {
 
 /// A point-in-time view of the server counters, for the stats op. All
 /// functional (maintained by the serve layer itself), so the endpoint
-/// works in obs-off builds too.
+/// works at TAGS_OBS_LEVEL=0 too.
 struct StatsSnapshot {
   std::uint64_t requests = 0;
   std::uint64_t cache_hits = 0;

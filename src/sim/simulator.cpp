@@ -209,14 +209,6 @@ SimResults simulate_tags(const TagsSimParams& p) {
       unsigned total = 0;
       for (const unsigned l : lengths) total += l;
       depth_hist.observe(static_cast<double>(total));
-      if (obs::tracing_on() && (n_events & 65535) == 0) {
-        obs::TraceEvent tev;
-        tev.name = "sim.progress";
-        tev.num.emplace_back("events", static_cast<double>(n_events));
-        tev.num.emplace_back("sim_time", now);
-        tev.num.emplace_back("total_queue", static_cast<double>(total));
-        obs::emit(std::move(tev));
-      }
     }
     if (ev.payload.is_arrival) {
       if (col.recording) ++col.arrivals;

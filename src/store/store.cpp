@@ -1,18 +1,18 @@
 #include "store/store.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/numio.hpp"
 #include "store/codec.hpp"
 #include "store/crc32c.hpp"
 #include "store/io.hpp"
@@ -107,15 +107,12 @@ std::optional<IndexSegment> decode_index(std::span<const std::uint8_t> bytes) {
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
-      parsed > INT_MAX) {
+  const std::optional<int> parsed = numio::parse_int<int>(v);
+  if (!parsed) {
     obs::count("store.env_parse_errors");
     return fallback;
   }
-  return static_cast<int>(parsed);
+  return *parsed;
 }
 
 }  // namespace

@@ -161,14 +161,10 @@ TEST(Optimizer, DenseLuScanPredictsNothing) {
   p.mu = 10.0;
   p.n = 3;
   p.k1 = p.k2 = 4;
-#if TAGS_OBS_ENABLED
   obs::Counter predicted("ctmc.steady_state.warm_start.predicted");
   const std::uint64_t before = predicted.value();
-#endif
   const auto best = optimise_tags_t_integer(p, Objective::kMinQueueLength, 10, 40);
-#if TAGS_OBS_ENABLED
   EXPECT_EQ(predicted.value(), before);
-#endif
   double best_t = 0.0;
   models::Metrics cold_best;
   for (unsigned t = 10; t <= 40; ++t) {

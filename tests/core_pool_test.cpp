@@ -4,6 +4,7 @@
 // dimension-change path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -95,13 +96,21 @@ TEST(ThreadPool, IdleWorkersStealQueuedWork) {
   EXPECT_GT(pool.worker_busy_ns(0) + pool.worker_busy_ns(1), 0u);
 }
 
+// Reads the count only: no pool is built, so no thread is started.
 TEST(ThreadPool, DefaultThreadsHonoursEnvOverride) {
   ASSERT_EQ(setenv("TAGS_SWEEP_THREADS", "3", 1), 0);
   EXPECT_EQ(core::ThreadPool::default_threads(), 3u);
-  ASSERT_EQ(setenv("TAGS_SWEEP_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(core::ThreadPool::default_threads(), 1u);
+  ASSERT_EQ(setenv("TAGS_SWEEP_THREADS", "256", 1), 0);
+  EXPECT_EQ(core::ThreadPool::default_threads(), core::ThreadPool::kMaxThreads);
+  // Malformed, negative and oversized values fall back to the hardware
+  // count instead of whatever prefix strtol made of them.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  for (const char* bad : {"not-a-number", "2x", "-1", "100000", "257", "0"}) {
+    ASSERT_EQ(setenv("TAGS_SWEEP_THREADS", bad, 1), 0);
+    EXPECT_EQ(core::ThreadPool::default_threads(), hw) << bad;
+  }
   ASSERT_EQ(unsetenv("TAGS_SWEEP_THREADS"), 0);
-  EXPECT_GE(core::ThreadPool::default_threads(), 1u);
+  EXPECT_EQ(core::ThreadPool::default_threads(), hw);
 }
 
 TEST(ShardedSweep, PlanCoversGridContiguouslyAndIgnoresThreads) {

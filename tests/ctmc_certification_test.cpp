@@ -1,14 +1,16 @@
 // End-to-end certification of the steady-state stack: every method stamps
 // a certificate, the kAuto chain escalates on certification failure (not
 // just raw residual), poisoned generators cannot produce a certified
-// result, and warm-start bookkeeping surfaces uncertified accepts.
+// result, and warm-start bookkeeping surfaces uncertified accepts. Each
+// kAuto attempt span says why a stage was declined: converged 0 is a
+// residual failure, converged 1 with certified 0 a certification
+// escalation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "ctmc/builder.hpp"
@@ -28,6 +30,27 @@ ctmc::Ctmc ring_chain() {
   b.add(2, 3, 3.0);
   b.add(3, 0, 4.0);
   return b.build();
+}
+
+/// A numeric attribute of a span record; NaN when the span lacks it.
+double span_attr(const obs::SpanRecord& rec, std::string_view key) {
+  for (const auto& [k, v] : rec.num) {
+    if (k == key) return v;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+/// The attempt spans (solve/dense-lu, solve/gauss-seidel, solve/power) in
+/// start order: every solve/* span but certification and coarse steps.
+std::vector<obs::SpanRecord> attempt_spans() {
+  std::vector<obs::SpanRecord> out;
+  for (const obs::SpanRecord& r : obs::span_records_export()) {
+    if (r.name.rfind("solve/", 0) == 0 && r.name != "solve/certify" &&
+        r.name != "solve/coarse-step") {
+      out.push_back(r);
+    }
+  }
+  return out;
 }
 
 class CertifiedMethods : public ::testing::TestWithParam<SteadyStateMethod> {};
@@ -74,10 +97,9 @@ TEST(Certification, AutoEscalatesWhenCertificationFails) {
   // and fall through to Gauss-Seidel (whose path computes no estimate).
   SteadyStateOptions opts;
   opts.certify_opts.condition_limit = 1.0;
-#if TAGS_OBS_ENABLED
+  obs::set_level(obs::Level::kMetrics);
+  obs::reset_metrics();
   obs::Counter escalations("numerics.certify.escalations");
-  const std::uint64_t before = escalations.value();
-#endif
   const auto res = ctmc::steady_state(ring_chain(), opts);
   EXPECT_EQ(res.method_used, SteadyStateMethod::kGaussSeidel);
   EXPECT_TRUE(res.converged);
@@ -85,9 +107,17 @@ TEST(Certification, AutoEscalatesWhenCertificationFails) {
   ASSERT_GE(res.attempts.size(), 2u);
   EXPECT_EQ(res.attempts.front().method, SteadyStateMethod::kDenseLu);
   EXPECT_TRUE(res.attempts.front().converged);  // converged, yet rejected
-#if TAGS_OBS_ENABLED
-  EXPECT_GE(escalations.value(), before + 1);
-#endif
+  EXPECT_EQ(escalations.value(), 1u);
+  // The spans say the same: the declined dense-LU attempt converged but
+  // was not certified, and the accepted Gauss-Seidel one was.
+  const std::vector<obs::SpanRecord> spans = attempt_spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "solve/dense-lu");
+  EXPECT_EQ(span_attr(spans[0], "converged"), 1.0);
+  EXPECT_EQ(span_attr(spans[0], "certified"), 0.0);
+  EXPECT_EQ(spans[1].name, "solve/gauss-seidel");
+  EXPECT_EQ(span_attr(spans[1], "certified"), 1.0);
+  obs::reset_metrics();
 }
 
 TEST(Certification, PoisonedGeneratorNeverCertifies) {
@@ -103,41 +133,30 @@ TEST(Certification, PoisonedGeneratorNeverCertifies) {
   const linalg::CsrMatrix q = linalg::CsrMatrix::from_coo(coo);
   SteadyStateOptions opts;
   opts.max_iter = 200;  // the chain cannot converge; don't burn the budget
-#if TAGS_OBS_ENABLED
+  obs::set_level(obs::Level::kMetrics);
+  obs::reset_metrics();
   obs::Counter uncertified("numerics.steady_state.uncertified_returns");
-  const std::uint64_t before = uncertified.value();
-  const obs::Level level = obs::level();
-  auto sink = std::make_shared<obs::MemorySink>();
-  obs::install_trace_sink(sink, /*sample_every=*/1);
-#endif
+  obs::Counter fallbacks("ctmc.steady_state.fallbacks");
   const auto res = ctmc::steady_state(q, opts);
   EXPECT_FALSE(res.certificate.ok());
   std::vector<std::string> tried;
   for (const auto& a : res.attempts) tried.emplace_back(ctmc::to_string(a.method));
   EXPECT_EQ(tried,
             (std::vector<std::string>{"dense-lu", "gauss-seidel", "power"}));
-#if TAGS_OBS_ENABLED
-  obs::clear_trace_sink();
-  obs::set_level(level);
-  EXPECT_GE(uncertified.value(), before + 1);
-  // Each fallback names the stage that actually ran next.
-  std::vector<std::pair<std::string, std::string>> fallbacks;
-  for (const obs::TraceEvent& ev : sink->events()) {
-    if (ev.name != "steady_state.fallback") continue;
-    std::string from, to;
-    for (const auto& [key, value] : ev.str) {
-      if (key == "from") from = value;
-      if (key == "to") to = value;
-    }
-    fallbacks.emplace_back(from, to);
+  EXPECT_EQ(uncertified.value(), 1u);
+  // One fallback per declined stage that had a successor, and one attempt
+  // span per stage, none of them certified.
+  EXPECT_EQ(fallbacks.value(), 2u);
+  std::vector<std::string> spans;
+  for (const obs::SpanRecord& r : attempt_spans()) {
+    spans.push_back(r.name);
+    EXPECT_EQ(span_attr(r, "certified"), 0.0) << r.name;
   }
-  EXPECT_EQ(fallbacks, (std::vector<std::pair<std::string, std::string>>{
-                           {"dense-lu", "gauss-seidel"},
-                           {"gauss-seidel", "power"}}));
-#endif
+  EXPECT_EQ(spans, (std::vector<std::string>{"solve/dense-lu", "solve/gauss-seidel",
+                                             "solve/power"}));
+  obs::reset_metrics();
 }
 
-#if TAGS_OBS_ENABLED
 TEST(Certification, SolveRecordCarriesCertificate) {
   obs::set_level(obs::Level::kMetrics);
   obs::reset_metrics();
@@ -154,7 +173,6 @@ TEST(Certification, SolveRecordCarriesCertificate) {
   EXPECT_TRUE(found);
   obs::reset_metrics();
 }
-#endif
 
 TEST(Certification, WarmStartStateCountsUncertifiedAccepts) {
   ctmc::WarmStartState ws;

@@ -104,13 +104,11 @@ TEST(FoxGlynn, AtIsZeroOutsideWindow) {
   EXPECT_GT(fg.at(static_cast<std::size_t>(1e4)), 0.0);
 }
 
-#if TAGS_OBS_ENABLED
 TEST(FoxGlynn, CallsAreCounted) {
   obs::Counter calls("numerics.fox_glynn.calls");
   const std::uint64_t before = calls.value();
   (void)fox_glynn(12.0, 1e-13);
   EXPECT_EQ(calls.value(), before + 1);
 }
-#endif
 
 }  // namespace

@@ -210,7 +210,6 @@ TEST(GeneratorEngine, SteadyStateOnCsrMatchesCtmcOverload) {
   }
 }
 
-#if TAGS_OBS_ENABLED
 TEST(GeneratorEngine, WarmStartCountersTrackReuse) {
   models::TagsParams p;
   p.n = 2;
@@ -244,25 +243,20 @@ TEST(GeneratorEngine, WarmStartCountersTrackReuse) {
   EXPECT_TRUE(opts.initial_guess.has_value());
   EXPECT_EQ(cleared.value(), c0 + 1);
 }
-#endif
 
 TEST(GeneratorEngine, RebindIsCheaperThanAssembleOnCounters) {
-#if TAGS_OBS_ENABLED
   obs::Counter assembles("ctmc.generator.assembles");
   obs::Counter rebinds("ctmc.generator.rebinds");
   const auto a0 = assembles.value();
   const auto r0 = rebinds.value();
-#endif
   models::TagsParams p;
   models::TagsModel m(p);
   for (double t : {20.0, 30.0, 40.0}) {
     p.t = t;
     m.rebind(p);
   }
-#if TAGS_OBS_ENABLED
   EXPECT_EQ(assembles.value(), a0 + 1);
   EXPECT_EQ(rebinds.value(), r0 + 3);
-#endif
   EXPECT_TRUE(m.chain().is_valid_generator());
 }
 

@@ -173,7 +173,6 @@ TEST(SteadyState, WarmStartGivesSameAnswer) {
   EXPECT_LE(warm.iterations, 32);
 }
 
-#if TAGS_OBS_ENABLED
 /// The sweep direction a Gauss-Seidel solve of `chain` records on its span.
 std::string gauss_seidel_direction(const ctmc::Ctmc& chain) {
   obs::reset_metrics();
@@ -204,7 +203,6 @@ TEST(SteadyState, GaussSeidelSweepsForwardWhenUpAndDownMassTie) {
   // Any extra downward mass turns the sweep around.
   EXPECT_EQ(gauss_seidel_direction(chain(1.5)), "backward");
 }
-#endif
 
 // An irreducible 400-state chain whose rates span twelve decades, with
 // transitions both up and down the state order.

@@ -127,21 +127,16 @@ TEST(FluidTags, HighLoadSaturatesBelowBuffers) {
 // the controller can take (max_dt = 1.0 here) ever advances t.
 TEST(Rkf45, TerminatesWhenStepFallsBelowUlpOfT) {
   const OdeRhs f = [](double, const Vec& y, Vec& dy) { dy[0] = -y[0]; };
-#if TAGS_OBS_ENABLED
   tags::obs::Counter stalls("numerics.rkf45.stall_terminations");
   const std::uint64_t before = stalls.value();
-#endif
   const double t0 = 1e16;
   const double t_end = std::nextafter(std::nextafter(t0, 2e16), 2e16);
   ASSERT_GT(t_end, t0);  // a real, positive gap — just unreachable by stepping
   const Vec y = rkf45_integrate(f, {1.0}, t0, t_end, {.dt = 0.5});
   EXPECT_TRUE(std::isfinite(y[0]));
-#if TAGS_OBS_ENABLED
   EXPECT_GE(stalls.value(), before + 1);
-#endif
 }
 
-#if TAGS_OBS_ENABLED
 // Forced acceptance at the min_dt floor loses error control; every such
 // step must be counted so stiff runs are auditable after the fact.
 TEST(Rkf45, CountsForcedMinDtStepsWithErrorAboveOne) {
@@ -156,6 +151,5 @@ TEST(Rkf45, CountsForcedMinDtStepsWithErrorAboveOne) {
   (void)y;  // the trajectory is garbage by construction; the count is the point
   EXPECT_GE(forced.value(), before + 1);
 }
-#endif
 
 }  // namespace

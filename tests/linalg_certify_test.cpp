@@ -182,7 +182,6 @@ TEST(CompensatedKernels, RecoverMassPlainSummationLoses) {
   EXPECT_NEAR(dot_compensated(v, ones), 1.0 + 1e-15, 3e-16);
 }
 
-#if TAGS_OBS_ENABLED
 TEST(Certify, FailuresAreCountedAndTraced) {
   tags::obs::Counter checks("numerics.certify.checks");
   tags::obs::Counter failures("numerics.certify.failures");
@@ -196,6 +195,5 @@ TEST(Certify, FailuresAreCountedAndTraced) {
   EXPECT_EQ(checks.value(), c0 + 2);
   EXPECT_EQ(failures.value(), f0 + 1);
 }
-#endif
 
 }  // namespace

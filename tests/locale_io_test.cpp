@@ -112,14 +112,12 @@ TEST_F(LocaleIo, PepaRateBytesUnderCommaLocale) {
   EXPECT_EQ(pepa::format_rate(19.9), "19.899999999999999");
 }
 
-#if TAGS_OBS_ENABLED
 TEST_F(LocaleIo, PrometheusExportUnderCommaLocale) {
   obs::gauge_set("locale.test.gauge", 2.5);
   const std::string text = obs::prometheus_text();
   EXPECT_NE(text.find("locale_test_gauge 2.5\n"), std::string::npos) << text;
   EXPECT_EQ(text.find("2,5"), std::string::npos);
 }
-#endif  // TAGS_OBS_ENABLED
 
 TEST_F(LocaleIo, ParseDoubleKeepsStrtodRangeSemantics) {
   const double inf = std::numeric_limits<double>::infinity();
@@ -166,9 +164,6 @@ TEST_F(LocaleIo, EnvIntRejectsTrailingGarbage) {
 
   // "8GB" used to atoi to 8 and arm the crash hook; strict parsing keeps
   // the fallback (disabled) and bumps the parse-error counter instead.
-  // The counter only exists when obs is compiled in; the strict-parse
-  // fallback itself (the store opening un-armed) holds either way.
-#if TAGS_OBS_ENABLED
   const auto counter = [] {
     for (const auto& c : obs::counter_snapshots()) {
       if (c.name == "store.env_parse_errors") return c.value;
@@ -176,13 +171,10 @@ TEST_F(LocaleIo, EnvIntRejectsTrailingGarbage) {
     return std::uint64_t{0};
   };
   const std::uint64_t before = counter();
-#endif
   ASSERT_EQ(setenv("TAGS_STORE_CRASH_AFTER_COMMITS", "8GB", 1), 0);
   { store::SolveStore store(dir.string()); }
   ASSERT_EQ(unsetenv("TAGS_STORE_CRASH_AFTER_COMMITS"), 0);
-#if TAGS_OBS_ENABLED
   EXPECT_GE(counter(), before + 1);
-#endif
 }
 
 }  // namespace

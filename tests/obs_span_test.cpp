@@ -2,7 +2,7 @@
 // stack, cross-thread via ThreadPool's explicit batch-parent edge), self-time
 // attribution, the per-name aggregate behind the telemetry timers, store
 // overflow accounting, exporter output, and — under TSan — concurrent span
-// construction and trace emission into a shared sink.
+// construction while another thread exports.
 //
 // Suite names matter: the CI ThreadSanitizer leg selects concurrency-relevant
 // suites by regex (ObsSpan|ObsTraceConcurrency among them).
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,20 +26,16 @@ namespace {
 
 using namespace tags;
 
-#if TAGS_OBS_ENABLED
-
-// Same global-state hygiene as ObsTest: every test starts and ends with no
-// sink, level metrics, and empty aggregates (reset_metrics clears the span
-// store too).
+// Same global-state hygiene as ObsTest: every test starts and ends at
+// level metrics with empty aggregates (reset_metrics clears the span store
+// too).
 class ObsSpanTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::clear_trace_sink();
     obs::set_level(obs::Level::kMetrics);
     obs::reset_metrics();
   }
   void TearDown() override {
-    obs::clear_trace_sink();
     obs::set_level(obs::Level::kMetrics);
     obs::reset_metrics();
   }
@@ -411,51 +406,6 @@ TEST_F(ObsTraceConcurrencyTest, ConcurrentSpanEmissionKeepsIdsUniqueAndNested) {
   }
 }
 
-TEST_F(ObsTraceConcurrencyTest, ConcurrentEmissionIntoSharedMemorySink) {
-  auto sink = std::make_shared<obs::MemorySink>();
-  obs::install_trace_sink(sink);
-  constexpr int kThreads = 8;
-  constexpr int kEvents = 500;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
-      for (int i = 0; i < kEvents; ++i) {
-        obs::TraceEvent ev;
-        ev.name = "test.concurrent_event";
-        ev.num.emplace_back("thread", static_cast<double>(t));
-        obs::emit(std::move(ev));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  obs::clear_trace_sink();
-  EXPECT_EQ(sink->events().size(),
-            static_cast<std::size_t>(kThreads) * kEvents);
-  EXPECT_EQ(sink->dropped(), 0u);
-}
-
-TEST_F(ObsTraceConcurrencyTest, BoundedSinkDropsBeyondCapacityUnderContention) {
-  obs::MemorySink sink(/*capacity=*/16);
-  constexpr int kThreads = 4;
-  constexpr int kEvents = 50;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sink] {
-      for (int i = 0; i < kEvents; ++i) {
-        obs::TraceEvent ev;
-        ev.name = "test.capped_event";
-        sink.on_event(ev);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(sink.events().size(), 16u);
-  EXPECT_EQ(sink.dropped(),
-            static_cast<std::uint64_t>(kThreads) * kEvents - 16u);
-}
-
 TEST_F(ObsTraceConcurrencyTest, PoolWorkersNestSpansWhileMainThreadExports) {
   // Exercise export-under-emission: workers create spans while the main
   // thread repeatedly snapshots the store. TSan checks the locking; the
@@ -486,20 +436,5 @@ TEST_F(ObsTraceConcurrencyTest, PoolWorkersNestSpansWhileMainThreadExports) {
   for (const auto& r : recs) jobs += r.name == "t/export_race_job" ? 1 : 0;
   EXPECT_EQ(jobs, kTasks);
 }
-
-#else  // TAGS_OBS_ENABLED
-
-TEST(ObsSpanDisabled, StubsAreInertAndExportsEmpty) {
-  obs::Span span("t/ignored");
-  span.attr("n", 1.0);
-  EXPECT_EQ(span.id(), 0u);
-  EXPECT_EQ(obs::Span::current_id(), 0u);
-  EXPECT_TRUE(obs::span_records().empty());
-  EXPECT_TRUE(obs::span_records_export().empty());
-  EXPECT_TRUE(obs::span_stats().empty());
-  EXPECT_EQ(obs::spans_dropped(), 0u);
-}
-
-#endif  // TAGS_OBS_ENABLED
 
 }  // namespace

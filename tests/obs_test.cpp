@@ -1,11 +1,12 @@
-// Observability layer: histogram percentiles, lock-free counters under
-// concurrent increments, per-span-name timer attribution, solver trace
-// histories, and the extended SolveResult / steady-state attempt reporting.
+// Observability layer: level parsing, histogram percentiles, lock-free
+// counters under concurrent increments, per-span-name timer attribution,
+// and the extended SolveResult / steady-state attempt reporting.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
-#include <memory>
+#include <cstdlib>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -49,23 +50,48 @@ ctmc::Ctmc small_chain() {
   return b.build();
 }
 
-#if TAGS_OBS_ENABLED
-
-// Global-state hygiene: every test starts at level metrics with no sink and
-// empty aggregates, and leaves the same state behind.
+// Global-state hygiene: every test starts at level metrics with empty
+// aggregates, and leaves the same state behind.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::clear_trace_sink();
     obs::set_level(obs::Level::kMetrics);
     obs::reset_metrics();
   }
   void TearDown() override {
-    obs::clear_trace_sink();
     obs::set_level(obs::Level::kMetrics);
     obs::reset_metrics();
   }
 };
+
+// TAGS_OBS_LEVEL and both tools' --obs-level read levels through
+// parse_level: the two names and any whole integer (<= 0 off, >= 1
+// metrics, so a leftover "2" still records); other text is rejected, and
+// the environment then keeps the default.
+TEST_F(ObsTest, ParseLevelAcceptsNamesAndIntegers) {
+  using obs::Level;
+  EXPECT_EQ(obs::parse_level("off"), Level::kOff);
+  EXPECT_EQ(obs::parse_level("metrics"), Level::kMetrics);
+  EXPECT_EQ(obs::parse_level("0"), Level::kOff);
+  EXPECT_EQ(obs::parse_level("1"), Level::kMetrics);
+  EXPECT_EQ(obs::parse_level("2"), Level::kMetrics);
+  EXPECT_EQ(obs::parse_level("-1"), Level::kOff);
+  EXPECT_EQ(obs::parse_level(""), std::nullopt);
+  EXPECT_EQ(obs::parse_level("garbage"), std::nullopt);
+  EXPECT_EQ(obs::parse_level("1x"), std::nullopt);
+
+  const auto env_level = [](const char* text) {
+    EXPECT_EQ(setenv("TAGS_OBS_LEVEL", text, 1), 0);
+    return static_cast<Level>(obs::detail::init_level_from_env());
+  };
+  EXPECT_EQ(env_level("off"), Level::kOff);
+  EXPECT_EQ(env_level("2"), Level::kMetrics);
+  EXPECT_EQ(env_level("0"), Level::kOff);
+  EXPECT_EQ(env_level("garbage"), Level::kMetrics);
+  EXPECT_EQ(env_level("trace"), Level::kMetrics);
+  EXPECT_EQ(unsetenv("TAGS_OBS_LEVEL"), 0);
+  EXPECT_EQ(static_cast<Level>(obs::detail::init_level_from_env()), Level::kMetrics);
+}
 
 TEST_F(ObsTest, HistogramCountAndSum) {
   obs::Histogram h("test.hist.count_sum", obs::Histogram::linear_bounds(0.0, 10.0, 10));
@@ -152,48 +178,6 @@ TEST_F(ObsTest, TimersInactiveWhenLevelOff) {
   EXPECT_EQ(obs::span_stats().count("obs_test/should_not_appear"), 0u);
 }
 
-TEST_F(ObsTest, SolverEmitsMonotoneResidualHistory) {
-  auto sink = std::make_shared<obs::MemorySink>();
-  obs::install_trace_sink(sink, /*sample_every=*/1);
-
-  const auto a = diag_dominant(64, 7);
-  linalg::Vec x_true(64, 1.0), b(64);
-  a.multiply(x_true, b);
-  linalg::Vec x(64, 0.0);
-  linalg::SolveOptions opts;
-  opts.tol = 1e-10;
-  const auto r = linalg::gauss_seidel(a, b, x, opts);
-  ASSERT_TRUE(r.converged);
-
-  int last_iteration = -1;
-  int n_events = 0;
-  for (const auto& ev : sink->events()) {
-    if (ev.name != "solver.iteration") continue;
-    double iteration = -1.0, residual = -1.0;
-    for (const auto& [k, v] : ev.num) {
-      if (k == "iteration") iteration = v;
-      if (k == "residual") residual = v;
-    }
-    EXPECT_GT(iteration, static_cast<double>(last_iteration));
-    last_iteration = static_cast<int>(iteration);
-    EXPECT_TRUE(std::isfinite(residual));
-    EXPECT_GE(residual, 0.0);
-    ++n_events;
-  }
-  EXPECT_GT(n_events, 0);
-}
-
-TEST_F(ObsTest, NoTraceEventsWhenTracingOff) {
-  auto sink = std::make_shared<obs::MemorySink>();
-  obs::install_trace_sink(sink, /*sample_every=*/1);
-  obs::set_level(obs::Level::kMetrics);  // sink installed, level below trace
-
-  const auto a = diag_dominant(32, 11);
-  linalg::Vec b(32, 1.0), x(32, 0.0);
-  (void)linalg::gauss_seidel(a, b, x, {});
-  EXPECT_TRUE(sink->events().empty());
-}
-
 TEST_F(ObsTest, SolveRecordsCaptureLinearSolves) {
   const auto a = diag_dominant(32, 3);
   linalg::Vec b(32, 1.0), x(32, 0.0);
@@ -223,10 +207,8 @@ TEST_F(ObsTest, MetricsJsonIsWellFormedEnough) {
   EXPECT_EQ(json.back(), '}');
 }
 
-#endif  // TAGS_OBS_ENABLED
-
 // The extended SolveResult fields and the steady-state attempt chain are
-// computed whether or not the observability layer is compiled in.
+// computed at every observability level.
 
 TEST(SolveResultExtensions, RelativeResidualScalesWithB) {
   const auto a = diag_dominant(48, 21);

@@ -11,9 +11,7 @@ sections "server" (v3+) or "store" (v4+). With =VALUE the
 field must also equal VALUE (within 1e-9), and with =+N (e.g. =+1) it must
 be at least N. Used by the bench fixtures and smoke harnesses to pin down
 report invariants (e.g. that the parallel sweep produced bit-identical
-results) when observability is compiled in; files from an obs-off build
-(obs_level == -1) skip every requirement, since such builds legitimately
-emit empty documents.
+results).
 
 Stdlib only. Exit 0 when every file conforms, 1 otherwise with one line per
 problem.
@@ -27,7 +25,7 @@ The schema (see README "Observability"):
   {
     "id": str,
     "schema_version": 6,         # 1..5 accepted for earlier files
-    "obs_level": int,            # -1 when compiled out, else 0..3
+    "obs_level": int,            # 0 off, 1 metrics
     "timers": {span_name: {"count": int, "total_ms": num, "self_ms": num}},
     "spans": [{"id": int, "parent": int, "thread": int, "name": str,
                "start_ms": num, "end_ms": num, "self_ms": num,
@@ -62,8 +60,8 @@ their children with child intervals inside the parent's (same-thread
 children only — cross-thread spans overlap by design), and self time
 nonnegative and no larger than the duration.
 
-An empty document (all collections empty) is valid — that is what a build
-with TAGS_ENABLE_OBS=OFF or TAGS_OBS_LEVEL=0 produces.
+An empty document (all collections empty) is valid — that is what a run
+at TAGS_OBS_LEVEL=0 produces.
 """
 
 import json
@@ -272,18 +270,17 @@ def check(path, requirements=()):
             if not isinstance(v, types) or isinstance(v, bool):
                 err(f"{name} field '{key}' missing or wrong type")
 
-    if doc.get("obs_level", -1) >= 0:
-        for spec in requirements:
-            target, _, want = spec.partition("=")
-            section, _, name = target.partition(".")
-            v = (sections.get(section) or {}).get(name)
-            if not isinstance(v, NUMBER) or isinstance(v, bool):
-                err(f"required {section} field '{name}' missing")
-            elif want.startswith("+"):
-                if v < float(want[1:]):
-                    err(f"{section} field '{name}' is {v}, expected at least {want[1:]}")
-            elif want and abs(v - float(want)) > 1e-9:
-                err(f"{section} field '{name}' is {v}, expected {want}")
+    for spec in requirements:
+        target, _, want = spec.partition("=")
+        section, _, name = target.partition(".")
+        v = (sections.get(section) or {}).get(name)
+        if not isinstance(v, NUMBER) or isinstance(v, bool):
+            err(f"required {section} field '{name}' missing")
+        elif want.startswith("+"):
+            if v < float(want[1:]):
+                err(f"{section} field '{name}' is {v}, expected at least {want[1:]}")
+        elif want and abs(v - float(want)) > 1e-9:
+            err(f"{section} field '{name}' is {v}, expected {want}")
 
     return problems
 

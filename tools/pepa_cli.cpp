@@ -7,19 +7,17 @@
 //   pepa print   <model.pepa>            parse and pretty-print (round trip)
 //
 // Observability flags (anywhere on the command line):
-//   --trace <file.jsonl>   stream trace events (solver iterations, derivation
-//                          progress, fallbacks) as JSON lines
 //   --metrics-out <file>   write the metrics/telemetry JSON on exit
-//   --obs-level <0..3>     override TAGS_OBS_LEVEL for this run
+//   --obs-level <0|1>      override TAGS_OBS_LEVEL for this run (also "off",
+//                          "metrics")
 //
 // Exit code 0 on success, 1 on any error (with a message on stderr).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -37,8 +35,7 @@ using namespace tags;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: pepa [--trace <file.jsonl>] [--metrics-out <file>] "
-               "[--obs-level <0..3>]\n"
+               "usage: pepa [--metrics-out <file>] [--obs-level <0|1>]\n"
                "            <derive|solve|fluid|check|print> <model.pepa> "
                "[SystemName]\n");
   return 1;
@@ -137,7 +134,6 @@ int cmd_fluid(const pepa::Model& model, const std::string& system) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> pos;
-  std::string trace_path;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -148,38 +144,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--trace") {
-      trace_path = value("--trace");
-    } else if (arg == "--metrics-out") {
+    if (arg == "--metrics-out") {
       metrics_path = value("--metrics-out");
     } else if (arg == "--obs-level") {
-#if TAGS_OBS_ENABLED
-      obs::set_level(static_cast<obs::Level>(
-          std::clamp(std::atoi(value("--obs-level")), 0, 3)));
-#else
-      (void)value("--obs-level");
-#endif
+      const char* text = value("--obs-level");
+      const std::optional<obs::Level> level = obs::parse_level(text);
+      if (!level) {
+        std::fprintf(stderr, "error: --obs-level expects 0, 1, off or metrics, got '%s'\n",
+                     text);
+        return 1;
+      }
+      obs::set_level(*level);
     } else {
       pos.push_back(arg);
     }
   }
   if (pos.size() < 2) return usage();
-#if TAGS_OBS_ENABLED
-  if (!trace_path.empty()) {
-    auto sink = std::make_shared<obs::JsonlSink>(trace_path);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "error: cannot open trace file %s\n", trace_path.c_str());
-      return 1;
-    }
-    obs::install_trace_sink(std::move(sink));
-  }
-#else
-  if (!trace_path.empty() || !metrics_path.empty()) {
-    std::fprintf(stderr,
-                 "warning: built with TAGS_ENABLE_OBS=OFF; telemetry output "
-                 "will be empty\n");
-  }
-#endif
   const std::string cmd = pos[0];
   const std::string system = pos.size() > 2 ? pos[2] : "";
   const auto finish = [&](int rc) {

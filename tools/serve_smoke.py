@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the tags_server daemon.
 
-Starts the daemon on a throwaway Unix socket, then scripts the conversation
-the server exists to serve:
+First starts the daemon once per malformed numeric flag (BAD_FLAGS): each
+run must exit 2 before it builds the server, without announcing that it is
+listening. Then starts it on a throwaway Unix socket and scripts the
+conversation the server exists to serve:
 
   1. a solve request (cold: "cached":false),
   2. the identical request again ("cached":true, byte-identical "result"),
@@ -14,13 +16,12 @@ the server exists to serve:
   7. ping, then shutdown.
 
 On shutdown the daemon writes its telemetry export; tools/check_bench_json.py
-validates it against schema v3 (including the "server" section) and, in
-obs-enabled builds, asserts the serve counters actually moved.
+validates it against schema v3 (including the "server" section) and
+asserts the serve counters actually moved.
 
 Responses carry functional fields (ok/cached/shed) maintained by the serve
-layer itself, so steps 1-7 are asserted identically in obs-off builds; only
-the exported-counter checks are conditional (check_bench_json skips them
-when obs_level < 0).
+layer itself, so steps 1-7 hold at TAGS_OBS_LEVEL=0 too; only the
+exported-counter checks read the observability layer.
 """
 
 import argparse
@@ -33,6 +34,11 @@ import tempfile
 import threading
 
 SOLVE_PARAMS = '{"lambda":5,"mu":10,"t":50,"n":2,"k1":3,"k2":3}'
+
+# Numeric flags a strict parser must reject before any worker starts: a
+# trailing suffix, a sign, a count above the thread cap, and non-numbers.
+BAD_FLAGS = ["--threads=2x", "--threads=-1", "--threads=100000",
+             "--queue-depth=abc", "--cache-capacity=-1"]
 
 
 def solve_request(req_id, extra="", params=SOLVE_PARAMS):
@@ -76,6 +82,21 @@ def main():
     os.makedirs(args.workdir, exist_ok=True)
     telemetry = os.path.join(args.workdir, "telemetry.json")
     prom = os.path.join(args.workdir, "metrics.prom")
+
+    # 0. Malformed numeric flags: usage and exit 2, no server. The socket is
+    #    never bound, so its path may be long.
+    for flag in BAD_FLAGS:
+        try:
+            proc = subprocess.run(
+                [args.server, "--socket=%s" % os.path.join(args.workdir, "bad.sock"), flag],
+                capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            fail("%s did not exit" % flag)
+        if proc.returncode != 2 or "listening" in proc.stdout:
+            fail("%s: exit %d, stdout %r (want exit 2, no listening line)"
+                 % (flag, proc.returncode, proc.stdout))
+    print("serve_smoke: %d malformed flags rejected" % len(BAD_FLAGS))
+
     # AF_UNIX paths are limited to ~107 bytes; build trees run long, so the
     # socket lives under a short tmpdir instead of the workdir.
     sockdir = tempfile.mkdtemp(prefix="tags_srv_")
@@ -167,9 +188,8 @@ def main():
             server.wait()
         shutil.rmtree(sockdir, ignore_errors=True)
 
-    # Telemetry: schema v3 with a "server" section; in obs-enabled builds the
-    # serve counters must have moved (check_bench_json skips the counter
-    # assertions when the export says obs was compiled out).
+    # Telemetry: schema v3 with a "server" section, and the serve counters
+    # must have moved.
     if not os.path.exists(telemetry):
         fail("server wrote no telemetry export at %s" % telemetry)
     if not os.path.exists(prom):

@@ -138,7 +138,7 @@ def main():
     log("dump-bench round-trips the CSV bit-exactly")
 
     # 7. Telemetry schema v4: the warm rerun's store counters must show the
-    # resume (skipped automatically for obs-off builds).
+    # resume.
     telemetry = os.path.join(run2, "results", "fig06_telemetry.json")
     proc = subprocess.run(
         [args.python, args.check,

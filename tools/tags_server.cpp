@@ -12,10 +12,16 @@
 // store before its response is sent, and a restarted server warm-loads the
 // store into its solve cache (known scenarios answer cached:true with the
 // byte-identical result object).
+//
+// Numeric flags take a whole unsigned decimal (--threads at most
+// ThreadPool::kMaxThreads, 0 for the default); anything else prints the
+// usage and exits 2 before the server is built.
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "core/pool.hpp"
+#include "obs/numio.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -36,6 +42,11 @@ int usage(const char* argv0) {
   return 2;
 }
 
+int bad_value(const char* argv0, const std::string& arg) {
+  std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+  return usage(argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -46,11 +57,17 @@ int main(int argc, char** argv) {
     if (flag_value(arg, "--socket", value)) {
       opts.socket_path = value;
     } else if (flag_value(arg, "--threads", value)) {
-      opts.engine.threads = static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
+      const std::optional<unsigned> threads = tags::core::ThreadPool::parse_threads(value);
+      if (!threads) return bad_value(argv[0], arg);
+      opts.engine.threads = *threads;
     } else if (flag_value(arg, "--cache-capacity", value)) {
-      opts.engine.cache_capacity = std::strtoul(value.c_str(), nullptr, 10);
+      const auto capacity = tags::numio::parse_int<std::size_t>(value);
+      if (!capacity) return bad_value(argv[0], arg);
+      opts.engine.cache_capacity = *capacity;
     } else if (flag_value(arg, "--queue-depth", value)) {
-      opts.engine.queue_depth = std::strtoul(value.c_str(), nullptr, 10);
+      const auto depth = tags::numio::parse_int<std::size_t>(value);
+      if (!depth) return bad_value(argv[0], arg);
+      opts.engine.queue_depth = *depth;
     } else if (flag_value(arg, "--store", value)) {
       opts.engine.store_path = value;
     } else if (flag_value(arg, "--telemetry-out", value)) {
